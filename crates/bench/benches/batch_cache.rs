@@ -14,6 +14,7 @@ use interop_bench::batch_exp::batch_designs;
 use interop_bench::cache_exp::{cache_bench_json, cache_rerun, cache_table};
 use migrate::batch::{migrate_batch, BatchConfig};
 use migrate::{presets, MigrationCache, Migrator};
+use obs::NullRecorder;
 use schematic::dialect::DialectId;
 
 const DESIGNS: usize = 12;
@@ -33,6 +34,7 @@ fn bench(c: &mut Criterion) {
                 srcs,
                 DialectId::Cascade,
                 &BatchConfig::with_threads(THREADS),
+                &NullRecorder,
             )
         })
     });
@@ -43,6 +45,7 @@ fn bench(c: &mut Criterion) {
         &sources,
         DialectId::Cascade,
         &BatchConfig::with_threads(THREADS),
+        &NullRecorder,
     );
     g.bench_with_input(BenchmarkId::from_parameter("warm"), &sources, |b, srcs| {
         b.iter(|| {
@@ -51,6 +54,7 @@ fn bench(c: &mut Criterion) {
                 srcs,
                 DialectId::Cascade,
                 &BatchConfig::with_threads(THREADS),
+                &NullRecorder,
             )
         })
     });

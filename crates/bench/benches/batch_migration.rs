@@ -11,6 +11,7 @@ use interop_bench::batch_exp::{
 };
 use migrate::batch::{migrate_batch, BatchConfig};
 use migrate::{presets, Migrator};
+use obs::NullRecorder;
 use schematic::dialect::DialectId;
 
 const DESIGNS: usize = 64;
@@ -29,6 +30,7 @@ fn bench(c: &mut Criterion) {
                     &sources,
                     DialectId::Cascade,
                     &BatchConfig::with_threads(t),
+                    &NullRecorder,
                 )
             })
         });

@@ -14,9 +14,9 @@
 
 use std::time::Instant;
 
-use migrate::batch::{migrate_batch, migrate_batch_recorded, BatchConfig};
+use migrate::batch::{migrate_batch, BatchConfig};
 use migrate::{presets, Migrator};
-use obs::MemoryRecorder;
+use obs::{MemoryRecorder, NullRecorder};
 use schematic::design::Design;
 use schematic::dialect::DialectId;
 use schematic::gen::GenConfig;
@@ -62,9 +62,11 @@ pub fn batch_scaling(designs: usize, threads: &[usize]) -> Vec<BatchRow> {
         &sources,
         DialectId::Cascade,
         &BatchConfig::with_threads(1),
+        &NullRecorder,
     )
+    .results
     .iter()
-    .map(|o| schematic::cascade::write(&o.design))
+    .map(|r| schematic::cascade::write(r.design().expect("fault-free batch")))
     .collect();
 
     let mut rows = Vec::new();
@@ -76,12 +78,13 @@ pub fn batch_scaling(designs: usize, threads: &[usize]) -> Vec<BatchRow> {
             &sources,
             DialectId::Cascade,
             &BatchConfig::with_threads(t),
+            &NullRecorder,
         );
         let millis = start.elapsed().as_secs_f64() * 1e3;
-        let identical = outcomes
-            .iter()
-            .zip(&reference)
-            .all(|(o, want)| schematic::cascade::write(&o.design) == *want);
+        let identical = outcomes.results.iter().zip(&reference).all(|(r, want)| {
+            r.design()
+                .is_some_and(|d| schematic::cascade::write(d) == *want)
+        });
         let base = *base_ms.get_or_insert(millis);
         rows.push(BatchRow {
             threads: t,
@@ -99,7 +102,7 @@ pub fn batch_span_profile(designs: usize, threads: usize) -> Vec<(String, u64, u
     let sources = batch_designs(designs);
     let migrator = Migrator::new(presets::exar_style_config(4, 0));
     let recorder = MemoryRecorder::new();
-    let _ = migrate_batch_recorded(
+    let _ = migrate_batch(
         &migrator,
         &sources,
         DialectId::Cascade,
@@ -144,7 +147,7 @@ pub fn batch_histograms(designs: usize, threads: usize) -> Vec<(String, obs::His
     let sources = batch_designs(designs);
     let migrator = Migrator::new(presets::exar_style_config(4, 0));
     let recorder = MemoryRecorder::new();
-    let _ = migrate_batch_recorded(
+    let _ = migrate_batch(
         &migrator,
         &sources,
         DialectId::Cascade,

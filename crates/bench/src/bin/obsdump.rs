@@ -42,11 +42,8 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use interop_bench::batch_exp;
-use migrate::batch::{
-    migrate_batch_recorded, migrate_batch_resilient, BatchConfig, ResilientConfig,
-};
+use migrate::batch::{migrate_batch, BatchConfig};
 use migrate::cache::MigrationCache;
-use migrate::checkpoint::Checkpoint;
 use migrate::{presets, FaultPlan, Migrator, RetryPolicy};
 use obs::export::{chrome_trace, folded_stacks, max_depth, self_time_table, span_tree};
 use obs::{validate_json, Recorder, Span, TraceRecorder};
@@ -142,14 +139,14 @@ fn run_batch(
     }
     let passes = if cache.is_some() { 2 } else { 1 };
     for _ in 0..passes {
-        let outcomes = migrate_batch_recorded(
+        let report = migrate_batch(
             &migrator,
             &sources,
             DialectId::Cascade,
             &BatchConfig::with_threads(threads),
             rec,
         );
-        assert_eq!(outcomes.len(), sources.len());
+        assert_eq!(report.results.len(), sources.len());
     }
 }
 
@@ -167,23 +164,14 @@ fn run_chaos(
     if let Some(cache) = cache {
         migrator = migrator.with_cache(Arc::clone(cache));
     }
-    let cfg = ResilientConfig {
+    let cfg = BatchConfig {
         threads,
         retry: RetryPolicy::with_attempts(5).base_delay(2).jitter(seed),
         fault_plan: FaultPlan::seeded(seed).with_rate(30),
         timeout_ticks: Some(40),
         abort_after: None,
     };
-    let mut checkpoint = Checkpoint::default();
-    let report = migrate_batch_resilient(
-        &migrator,
-        &sources,
-        DialectId::Cascade,
-        &cfg,
-        &mut checkpoint,
-        rec,
-    )
-    .expect("fresh checkpoint always binds");
+    let report = migrate_batch(&migrator, &sources, DialectId::Cascade, &cfg, rec);
     let counter = |name: &str| {
         rec.counters()
             .into_iter()

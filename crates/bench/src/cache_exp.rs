@@ -15,9 +15,9 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use migrate::batch::{migrate_batch, migrate_batch_recorded, BatchConfig};
+use migrate::batch::{migrate_batch, BatchConfig};
 use migrate::{presets, MigrationCache, Migrator};
-use obs::MemoryRecorder;
+use obs::{MemoryRecorder, NullRecorder};
 use schematic::design::Design;
 use schematic::dialect::DialectId;
 
@@ -51,7 +51,7 @@ fn run_batch(
 ) -> CacheRow {
     let recorder = MemoryRecorder::new();
     let start = Instant::now();
-    let outcomes = migrate_batch_recorded(
+    let outcomes = migrate_batch(
         migrator,
         sources,
         DialectId::Cascade,
@@ -59,10 +59,10 @@ fn run_batch(
         &recorder,
     );
     let millis = start.elapsed().as_secs_f64() * 1e3;
-    let identical = outcomes
-        .iter()
-        .zip(reference)
-        .all(|(o, want)| schematic::cascade::write(&o.design) == *want);
+    let identical = outcomes.results.iter().zip(reference).all(|(r, want)| {
+        r.design()
+            .is_some_and(|d| schematic::cascade::write(d) == *want)
+    });
     CacheRow {
         scenario: scenario.to_string(),
         millis,
@@ -85,9 +85,11 @@ pub fn cache_rerun(designs: usize, threads: usize) -> Vec<CacheRow> {
         &sources,
         DialectId::Cascade,
         &BatchConfig::with_threads(1),
+        &NullRecorder,
     )
+    .results
     .iter()
-    .map(|o| schematic::cascade::write(&o.design))
+    .map(|r| schematic::cascade::write(r.design().expect("fault-free batch")))
     .collect();
 
     let cache = Arc::new(MigrationCache::new());
@@ -104,9 +106,11 @@ pub fn cache_rerun(designs: usize, threads: usize) -> Vec<CacheRow> {
         &sources,
         DialectId::Cascade,
         &BatchConfig::with_threads(1),
+        &NullRecorder,
     )
+    .results
     .iter()
-    .map(|o| schematic::cascade::write(&o.design))
+    .map(|r| schematic::cascade::write(r.design().expect("fault-free batch")))
     .collect();
     let dirty = run_batch(
         &cached,

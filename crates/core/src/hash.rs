@@ -1,10 +1,9 @@
-//! Stable content hashing shared by the migration cache and the batch
-//! checkpoint layer.
+//! Stable content hashing for the migration cache and its disk tier.
 //!
 //! `std::hash::Hash` makes no cross-process guarantees (`HashMap`'s
 //! default hasher is randomly seeded per process), so anything that
-//! persists a fingerprint — a checkpoint file, an on-disk cache entry —
-//! needs a hash that is a *stable function of content*: same bytes in,
+//! persists a fingerprint — such as an on-disk cache entry that a
+//! resumed batch must find again — needs a hash that is a *stable function of content*: same bytes in,
 //! same 64-bit value out, on every run, on every host. [`StableHasher`]
 //! is that function (FNV-1a, 64-bit), and [`StableHash`] is the
 //! structural-hashing trait layered on top of it.

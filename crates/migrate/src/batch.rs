@@ -1,59 +1,87 @@
-//! Parallel batch migration with work stealing.
+//! Parallel, fault-tolerant batch migration.
 //!
 //! The paper's Exar case study migrated "approximately 1200 schematic
-//! pages" — a batch problem. This module migrates N designs across a
-//! pool of worker threads: each worker owns a deque of design indices,
-//! pops work from its own front, and steals from the *back* of other
-//! workers' deques when its own runs dry. Within one design, the
-//! migrator may additionally process independent pages concurrently
-//! (see [`Migrator::with_parallelism`]).
+//! pages" — a batch problem that must survive a crash without redoing
+//! finished work. [`migrate_batch`] migrates N designs on the
+//! [`interop_core::par`] work-stealing pool. Every design runs under
+//! panic isolation and the configured [`RetryPolicy`]; a design that
+//! exhausts its budget lands on the quarantine list while the rest of
+//! the batch completes. Within one design, the migrator may
+//! additionally process independent pages concurrently (see
+//! [`Migrator::with_parallelism`]).
 //!
 //! ## Determinism
 //!
 //! Each design migration is independent and deterministic, and every
-//! result is written into an index-addressed slot, so the returned
-//! outcomes are in input order and byte-identical to a sequential run
-//! regardless of thread count or steal interleaving.
+//! result is written into an index-addressed slot, so the results are
+//! in input order and byte-identical to a sequential run regardless of
+//! thread count or steal interleaving.
+//!
+//! ## Resume
+//!
+//! A batch resumes through the migrator's [`MigrationCache`]: give it a
+//! disk tier ([`MigrationCache::with_disk_tier`]) and re-run the same
+//! batch over the same directory after a crash. Every design whose
+//! full-chain outcome is already on disk comes back as
+//! [`DesignResult::Restored`] without running a stage; only the
+//! remainder executes.
 //!
 //! ```
 //! use migrate::batch::{migrate_batch, BatchConfig};
 //! use migrate::Migrator;
+//! use obs::NullRecorder;
 //! use schematic::dialect::DialectId;
 //! use schematic::gen::{generate, GenConfig};
 //!
 //! let designs: Vec<_> = (0..4)
 //!     .map(|seed| generate(&GenConfig { seed, ..GenConfig::default() }))
 //!     .collect();
-//! let outcomes = migrate_batch(
+//! let report = migrate_batch(
 //!     &Migrator::default(),
 //!     &designs,
 //!     DialectId::Cascade,
 //!     &BatchConfig::with_threads(2),
+//!     &NullRecorder,
 //! );
-//! assert_eq!(outcomes.len(), 4);
-//! assert!(outcomes.iter().all(|o| o.design.dialect == DialectId::Cascade));
+//! assert_eq!(report.executed, 4);
+//! assert!(report
+//!     .results
+//!     .iter()
+//!     .all(|r| r.design().is_some_and(|d| d.dialect == DialectId::Cascade)));
 //! ```
+//!
+//! [`MigrationCache`]: crate::cache::MigrationCache
+//! [`MigrationCache::with_disk_tier`]: crate::cache::MigrationCache::with_disk_tier
 
-use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::thread;
 
 use interop_core::fault::{FaultKind, FaultPlan, RetryPolicy, VirtualClock};
-use obs::{AttrValue, NullRecorder, Recorder, Span};
+use interop_core::par;
+use obs::{AttrValue, Recorder, Span};
 use schematic::design::Design;
 use schematic::dialect::DialectId;
 use schematic::parse::ParseError;
 
-use crate::checkpoint::{batch_fingerprint, Checkpoint, CheckpointError};
 use crate::pipeline::{MigrationOutcome, Migrator};
 
-/// Tuning for a batch run.
+/// Tuning for a batch run. The default injects no faults.
 #[derive(Debug, Clone)]
 pub struct BatchConfig {
     /// Worker threads migrating designs concurrently (1 = sequential).
     pub threads: usize,
+    /// Per-design retry budget with backoff on the virtual clock.
+    pub retry: RetryPolicy,
+    /// Deterministic chaos schedule (sites are design names).
+    pub fault_plan: FaultPlan,
+    /// Per-attempt latency budget in virtual ticks (`None` =
+    /// unlimited): injected latency beyond this fails the attempt.
+    pub timeout_ticks: Option<u64>,
+    /// Stop taking new designs after this many finish in this run —
+    /// the deterministic "kill the batch partway" switch used to
+    /// exercise resume.
+    pub abort_after: Option<usize>,
 }
 
 impl Default for BatchConfig {
@@ -62,152 +90,23 @@ impl Default for BatchConfig {
             threads: thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1),
+            retry: RetryPolicy::with_attempts(3),
+            fault_plan: FaultPlan::none(),
+            timeout_ticks: None,
+            abort_after: None,
         }
     }
 }
 
 impl BatchConfig {
-    /// A batch config with a fixed worker count (clamped to ≥ 1).
+    /// A fault-free batch config with a fixed worker count (clamped to
+    /// ≥ 1).
     pub fn with_threads(threads: usize) -> Self {
         BatchConfig {
             threads: threads.max(1),
+            ..BatchConfig::default()
         }
     }
-}
-
-/// Per-worker deques of design indices. Workers pop their own front and
-/// steal from other workers' backs, which keeps stolen work at the far
-/// end of a victim's locality window.
-struct StealQueues {
-    queues: Vec<Mutex<VecDeque<usize>>>,
-}
-
-impl StealQueues {
-    /// Distributes `jobs` indices round-robin over `workers` deques, so
-    /// every worker starts with local work.
-    fn new(workers: usize, jobs: usize) -> Self {
-        let mut queues: Vec<VecDeque<usize>> = (0..workers).map(|_| VecDeque::new()).collect();
-        for job in 0..jobs {
-            queues[job % workers].push_back(job);
-        }
-        StealQueues {
-            queues: queues.into_iter().map(Mutex::new).collect(),
-        }
-    }
-
-    /// Takes the next job for `worker`: own front first, then steal
-    /// from other queues' backs. Returns the job index and whether it
-    /// was stolen. `None` means the batch is drained — no new work is
-    /// ever enqueued after start, so empty-everywhere is terminal.
-    fn take(&self, worker: usize) -> Option<(usize, bool)> {
-        if let Some(job) = self.queues[worker].lock().unwrap().pop_front() {
-            return Some((job, false));
-        }
-        let n = self.queues.len();
-        for offset in 1..n {
-            let victim = (worker + offset) % n;
-            if let Some(job) = self.queues[victim].lock().unwrap().pop_back() {
-                return Some((job, true));
-            }
-        }
-        None
-    }
-}
-
-/// Migrates every design in `sources` to `target`, in parallel.
-/// Outcomes are returned in input order; the output is byte-identical
-/// to migrating each design sequentially.
-pub fn migrate_batch(
-    migrator: &Migrator,
-    sources: &[Design],
-    target: DialectId,
-    batch: &BatchConfig,
-) -> Vec<MigrationOutcome> {
-    migrate_batch_recorded(migrator, sources, target, batch, &NullRecorder)
-}
-
-/// Like [`migrate_batch`], but emits observability into `recorder`: a
-/// `migrate.batch` span for the whole run, one `migrate.batch.worker`
-/// span per worker thread (parented under the batch span via
-/// [`obs::attach_parent`], so the trace tree survives the thread
-/// boundary), per-design pipeline spans (via
-/// [`Migrator::migrate_recorded`]), a `migrate.batch.designs` counter,
-/// a `migrate.batch.steals` counter, and a `migrate.batch.queue_depth`
-/// histogram sampled as workers start jobs.
-///
-/// Pipeline and stage spans carry a `design` attribute, so even when a
-/// job is *stolen* by another worker its spans attribute to the design
-/// they serve — not to the thread that happened to run them.
-pub fn migrate_batch_recorded(
-    migrator: &Migrator,
-    sources: &[Design],
-    target: DialectId,
-    batch: &BatchConfig,
-    recorder: &dyn Recorder,
-) -> Vec<MigrationOutcome> {
-    let batch_span = Span::enter(recorder, "migrate.batch");
-    batch_span.attr("designs", sources.len());
-    batch_span.attr("threads", batch.threads);
-    let batch_id = batch_span.id();
-    recorder.add_counter("migrate.batch.designs", sources.len() as u64);
-    if sources.is_empty() {
-        return Vec::new();
-    }
-
-    let workers = batch.threads.max(1).min(sources.len());
-    if workers == 1 {
-        return sources
-            .iter()
-            .map(|d| migrator.migrate_recorded(d, target, recorder))
-            .collect();
-    }
-
-    let queues = StealQueues::new(workers, sources.len());
-    let mut slots: Vec<Option<MigrationOutcome>> = Vec::new();
-    slots.resize_with(sources.len(), || None);
-
-    let finished: Vec<Vec<(usize, MigrationOutcome)>> = thread::scope(|scope| {
-        let queues = &queues;
-        let handles: Vec<_> = (0..workers)
-            .map(|worker| {
-                scope.spawn(move || {
-                    // Worker threads have empty span stacks of their own;
-                    // adopt the batch span as parent so every pipeline
-                    // span attributes to the batch, not to a bare thread.
-                    let _ctx = obs::attach_parent(batch_id);
-                    let worker_span = Span::enter(recorder, "migrate.batch.worker");
-                    worker_span.attr("worker", worker);
-                    let mut done = Vec::new();
-                    let mut steals = 0u64;
-                    while let Some((job, stolen)) = queues.take(worker) {
-                        if stolen {
-                            steals += 1;
-                            recorder.add_counter("migrate.batch.steals", 1);
-                        }
-                        let depth = queues.queues[worker].lock().unwrap().len();
-                        recorder.record_value("migrate.batch.queue_depth", depth as u64);
-                        let outcome = migrator.migrate_recorded(&sources[job], target, recorder);
-                        done.push((job, outcome));
-                    }
-                    worker_span.attr("jobs", done.len());
-                    worker_span.attr("steals", steals);
-                    done
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("batch worker panicked"))
-            .collect()
-    });
-
-    for (job, outcome) in finished.into_iter().flatten() {
-        slots[job] = Some(outcome);
-    }
-    slots
-        .into_iter()
-        .map(|s| s.expect("every design index was migrated exactly once"))
-        .collect()
 }
 
 /// Serializes a design in the target dialect's canonical text form.
@@ -226,46 +125,6 @@ pub(crate) fn parse_design(text: &str, target: DialectId) -> Result<Design, Pars
     }
 }
 
-/// Tuning for a fault-tolerant batch run.
-#[derive(Debug, Clone)]
-pub struct ResilientConfig {
-    /// Worker threads migrating designs concurrently (1 = sequential).
-    pub threads: usize,
-    /// Per-design retry budget with backoff on the virtual clock.
-    pub retry: RetryPolicy,
-    /// Deterministic chaos schedule (sites are design names).
-    pub fault_plan: FaultPlan,
-    /// Per-attempt latency budget in virtual ticks (`None` =
-    /// unlimited): injected latency beyond this fails the attempt.
-    pub timeout_ticks: Option<u64>,
-    /// Stop taking new designs after this many finish in this run —
-    /// the deterministic "kill the batch partway" switch used to
-    /// exercise checkpoint/resume.
-    pub abort_after: Option<usize>,
-}
-
-impl Default for ResilientConfig {
-    fn default() -> Self {
-        ResilientConfig {
-            threads: BatchConfig::default().threads,
-            retry: RetryPolicy::with_attempts(3),
-            fault_plan: FaultPlan::none(),
-            timeout_ticks: None,
-            abort_after: None,
-        }
-    }
-}
-
-impl ResilientConfig {
-    /// A config with a fixed worker count (clamped to ≥ 1).
-    pub fn with_threads(threads: usize) -> Self {
-        ResilientConfig {
-            threads: threads.max(1),
-            ..ResilientConfig::default()
-        }
-    }
-}
-
 /// Why a design landed in quarantine.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QuarantineEntry {
@@ -280,29 +139,34 @@ pub struct QuarantineEntry {
     pub error: String,
 }
 
-/// Per-design outcome of a resilient batch run.
+/// Per-design outcome of a batch run.
 #[derive(Debug, Clone)]
 pub enum DesignResult {
     /// Migrated in this run.
     Migrated(MigrationOutcome),
-    /// Restored from a checkpoint — not re-run.
-    Restored(Design),
+    /// Its first attempt was served whole from the migrator's cache
+    /// (memory or disk tier): no stage ran for it in this run.
+    Restored(MigrationOutcome),
     /// Poison design: every attempt failed; the rest of the batch
     /// completed without it.
     Quarantined(QuarantineEntry),
-    /// The run was aborted (see [`ResilientConfig::abort_after`])
-    /// before this design was taken.
+    /// The run was aborted (see [`BatchConfig::abort_after`]) before
+    /// this design was taken.
     Skipped,
 }
 
 impl DesignResult {
-    /// The migrated design, when this design is healthy.
-    pub fn design(&self) -> Option<&Design> {
+    /// The migration outcome, when this design is healthy.
+    pub fn outcome(&self) -> Option<&MigrationOutcome> {
         match self {
-            DesignResult::Migrated(o) => Some(&o.design),
-            DesignResult::Restored(d) => Some(d),
+            DesignResult::Migrated(o) | DesignResult::Restored(o) => Some(o),
             DesignResult::Quarantined(_) | DesignResult::Skipped => None,
         }
+    }
+
+    /// The migrated design, when this design is healthy.
+    pub fn design(&self) -> Option<&Design> {
+        self.outcome().map(|o| &o.design)
     }
 
     /// True for quarantined designs.
@@ -311,16 +175,16 @@ impl DesignResult {
     }
 }
 
-/// What a resilient batch run did.
+/// What a batch run did.
 #[derive(Debug, Clone, Default)]
-pub struct ResilientReport {
+pub struct BatchReport {
     /// Per-design results, in input order.
     pub results: Vec<DesignResult>,
     /// Quarantined designs (also present in `results`).
     pub quarantined: Vec<QuarantineEntry>,
     /// Designs actually migrated in this run.
     pub executed: usize,
-    /// Designs restored from the checkpoint without re-running.
+    /// Designs restored from the cache without re-running.
     pub restored: usize,
     /// Designs skipped because the run aborted first.
     pub skipped: usize,
@@ -332,7 +196,7 @@ pub struct ResilientReport {
     pub virtual_ticks: u64,
 }
 
-impl ResilientReport {
+impl BatchReport {
     /// True when every design is either healthy or quarantined —
     /// nothing was skipped by an abort.
     pub fn is_settled(&self) -> bool {
@@ -342,8 +206,12 @@ impl ResilientReport {
 
 /// What one attempt at a design produced.
 enum DesignAttempt {
-    Ok(MigrationOutcome, String),
-    Failed { error: String, retryable: bool },
+    /// The migration, and whether the cache served it whole.
+    Ok(MigrationOutcome, bool),
+    Failed {
+        error: String,
+        retryable: bool,
+    },
 }
 
 /// Runs one migration attempt under the fault plan: injected latency
@@ -351,28 +219,26 @@ enum DesignAttempt {
 /// panic isolation, and output corruption checked by re-parsing the
 /// serialized result (the corrupted artifact is discarded — a retry
 /// re-runs from the pristine source).
-#[allow(clippy::too_many_arguments)]
 fn attempt_design(
     migrator: &Migrator,
     source: &Design,
     target: DialectId,
     attempt: u32,
-    cfg: &ResilientConfig,
-    clock: &VirtualClock,
-    counters: &ChaosCounters,
+    cfg: &BatchConfig,
+    chaos: &Chaos,
     recorder: &dyn Recorder,
 ) -> DesignAttempt {
     let name = source.name.as_str();
     let fault = cfg.fault_plan.fault_for(name, attempt);
     if fault.is_some() {
-        counters.faults.fetch_add(1, Ordering::Relaxed);
+        chaos.faults.fetch_add(1, Ordering::Relaxed);
         recorder.add_counter("migrate.batch.faults.injected", 1);
     }
     match fault {
         Some(FaultKind::Latency(d)) => {
             if let Some(budget) = cfg.timeout_ticks {
                 if d > budget {
-                    clock.advance(budget);
+                    chaos.clock.advance(budget);
                     recorder.add_counter("migrate.batch.timeouts", 1);
                     return DesignAttempt::Failed {
                         error: format!("timed out after {budget} virtual ticks (tool needed {d})"),
@@ -380,7 +246,7 @@ fn attempt_design(
                     };
                 }
             }
-            clock.advance(d);
+            chaos.clock.advance(d);
         }
         Some(FaultKind::TransientError) => {
             return DesignAttempt::Failed {
@@ -403,10 +269,10 @@ fn attempt_design(
         if fault == Some(FaultKind::Panic) {
             panic!("injected fault: migrator crash on `{name}` (attempt {attempt})");
         }
-        migrator.migrate_recorded(source, target, recorder)
+        migrator.migrate_reporting_hit(source, target, recorder)
     }));
-    let outcome = match caught {
-        Ok(outcome) => outcome,
+    let (outcome, hit) = match caught {
+        Ok(done) => done,
         Err(payload) => {
             recorder.add_counter("migrate.batch.panics", 1);
             let msg = payload
@@ -421,11 +287,11 @@ fn attempt_design(
         }
     };
 
-    let text = write_design(&outcome.design, target);
     if let Some(kind @ (FaultKind::CorruptOutput | FaultKind::TruncateOutput)) = fault {
         // The "tool" wrote garbage: what lands on disk is the mangled
         // text. Re-parsing it is how the damage is detected — the
         // resulting positioned ParseError becomes the attempt's error.
+        let text = write_design(&outcome.design, target);
         let mangled = cfg.fault_plan.mangle(kind, name, &text).unwrap_or_default();
         let error = match parse_design(&mangled, target) {
             Err(e) => e.to_string(),
@@ -436,44 +302,47 @@ fn attempt_design(
             retryable: true,
         };
     }
-    DesignAttempt::Ok(outcome, text)
+    DesignAttempt::Ok(outcome, hit)
 }
 
-/// Shared chaos accounting across workers.
+/// Chaos accounting shared across workers.
 #[derive(Default)]
-struct ChaosCounters {
+struct Chaos {
+    clock: VirtualClock,
     retries: AtomicU64,
     faults: AtomicU64,
 }
 
 /// Migrates a design until it succeeds or exhausts the retry budget.
-#[allow(clippy::too_many_arguments)]
 fn migrate_with_retry(
     migrator: &Migrator,
     index: usize,
     source: &Design,
     target: DialectId,
-    cfg: &ResilientConfig,
-    clock: &VirtualClock,
-    counters: &ChaosCounters,
+    cfg: &BatchConfig,
+    chaos: &Chaos,
     recorder: &dyn Recorder,
-) -> (DesignResult, Option<String>) {
+) -> DesignResult {
     let name = source.name.clone();
     let last_error;
     let mut attempt = 0u32;
     loop {
         attempt += 1;
         if attempt > 1 {
-            counters.retries.fetch_add(1, Ordering::Relaxed);
+            chaos.retries.fetch_add(1, Ordering::Relaxed);
             recorder.add_counter("migrate.batch.retries", 1);
-            clock.advance(cfg.retry.delay_after(attempt - 1, &name));
+            chaos
+                .clock
+                .advance(cfg.retry.delay_after(attempt - 1, &name));
         }
-        match attempt_design(
-            migrator, source, target, attempt, cfg, clock, counters, recorder,
-        ) {
-            DesignAttempt::Ok(outcome, text) => {
-                return (DesignResult::Migrated(outcome), Some(text));
+        match attempt_design(migrator, source, target, attempt, cfg, chaos, recorder) {
+            // A whole-chain hit on a retry was cached by this run's
+            // failed attempt, so only a first-attempt hit is a restore.
+            DesignAttempt::Ok(outcome, true) if attempt == 1 => {
+                recorder.add_counter("migrate.batch.restored", 1);
+                return DesignResult::Restored(outcome);
             }
+            DesignAttempt::Ok(outcome, _) => return DesignResult::Migrated(outcome),
             DesignAttempt::Failed { error, retryable } => {
                 if !retryable || !cfg.retry.may_retry(attempt) {
                     last_error = error;
@@ -499,184 +368,89 @@ fn migrate_with_retry(
             ("error", AttrValue::Str(last_error.clone())),
         ],
     );
-    (
-        DesignResult::Quarantined(QuarantineEntry {
-            index,
-            name,
-            attempts: attempt,
-            error: last_error,
-        }),
-        None,
-    )
+    DesignResult::Quarantined(QuarantineEntry {
+        index,
+        name,
+        attempts: attempt,
+        error: last_error,
+    })
 }
 
-/// Fault-tolerant batch migration with quarantine and
-/// checkpoint/resume.
+/// Migrates every design in `sources` to `target` on `cfg.threads`
+/// workers, with quarantine, and resume through the migrator's cache.
 ///
-/// Every design is migrated under panic isolation and the configured
-/// [`RetryPolicy`]; designs that exhaust their budget land on the
-/// quarantine list while the rest of the batch completes — healthy
-/// designs' outputs are byte-identical to a fault-free run. Progress is
-/// recorded into `checkpoint` as designs finish, and a batch restarted
-/// with that checkpoint resumes where it left off: finished designs
-/// are restored from their serialized outputs without re-running the
-/// pipeline.
+/// Results are in input order; healthy designs' outputs are
+/// byte-identical to a sequential, fault-free run. A design whose
+/// full-chain outcome the migrator's cache already holds — including a
+/// disk tier written by an earlier, killed run — is reported as
+/// [`DesignResult::Restored`] and runs no stage.
 ///
-/// Observability mirrors [`migrate_batch_recorded`], plus counters
-/// `migrate.batch.retries` / `migrate.batch.timeouts` /
-/// `migrate.batch.panics` / `migrate.batch.faults.injected` /
-/// `migrate.batch.quarantined` / `migrate.batch.restored` and a
-/// `migrate.batch.quarantine` event per poisoned design.
-///
-/// # Errors
-///
-/// Fails with [`CheckpointError::FingerprintMismatch`] when
-/// `checkpoint` was recorded for a different design set, target, or
-/// stage pipeline.
-pub fn migrate_batch_resilient(
+/// Observability: a `migrate.batch` span for the whole run, the pool's
+/// `migrate.batch.worker` spans, `migrate.batch.steals` counter and
+/// `migrate.batch.queue_depth` histogram (see [`par::map`]),
+/// per-design pipeline spans (see [`Migrator::migrate_recorded`]),
+/// counters `migrate.batch.designs` / `migrate.batch.retries` /
+/// `migrate.batch.timeouts` / `migrate.batch.panics` /
+/// `migrate.batch.faults.injected` / `migrate.batch.quarantined` /
+/// `migrate.batch.restored`, and a `migrate.batch.quarantine` event per
+/// poisoned design. Pipeline and stage spans carry a `design`
+/// attribute, so a *stolen* job's spans attribute to the design they
+/// serve, not to the thread that ran them.
+pub fn migrate_batch(
     migrator: &Migrator,
     sources: &[Design],
     target: DialectId,
-    cfg: &ResilientConfig,
-    checkpoint: &mut Checkpoint,
+    cfg: &BatchConfig,
     recorder: &dyn Recorder,
-) -> Result<ResilientReport, CheckpointError> {
-    let names: Vec<&str> = sources.iter().map(|d| d.name.as_str()).collect();
-    let stage_names: Vec<&str> = migrator.stage_ids().iter().map(|s| s.name()).collect();
-    let fingerprint = batch_fingerprint(&names, target, &stage_names);
-    if checkpoint.is_empty() && checkpoint.fingerprint == 0 {
-        checkpoint.fingerprint = fingerprint;
-    } else if checkpoint.fingerprint != fingerprint {
-        return Err(CheckpointError::FingerprintMismatch {
-            expected: fingerprint,
-            found: checkpoint.fingerprint,
-        });
-    }
-
+) -> BatchReport {
     let batch_span = Span::enter(recorder, "migrate.batch");
     batch_span.attr("designs", sources.len());
     batch_span.attr("threads", cfg.threads);
-    batch_span.attr("resilient", 1usize);
-    let batch_id = batch_span.id();
     recorder.add_counter("migrate.batch.designs", sources.len() as u64);
 
-    let clock = VirtualClock::new();
-    let counters = ChaosCounters::default();
-    let mut report = ResilientReport::default();
-    let mut slots: Vec<Option<DesignResult>> = Vec::new();
-    slots.resize_with(sources.len(), || None);
-
-    // Resume: rehydrate finished designs from the checkpoint. An entry
-    // that no longer parses is dropped and its design re-migrated.
-    for (index, slot) in slots.iter_mut().enumerate() {
-        if let Some(design) = checkpoint.restore(index, target) {
-            *slot = Some(DesignResult::Restored(design));
-            report.restored += 1;
-            recorder.add_counter("migrate.batch.restored", 1);
-        }
-    }
-
-    let jobs: Vec<usize> = (0..sources.len()).filter(|&i| slots[i].is_none()).collect();
-    let workers = cfg.threads.max(1).min(jobs.len().max(1));
+    let chaos = Chaos::default();
     let finished_cap = cfg.abort_after.unwrap_or(usize::MAX);
     let finished = AtomicUsize::new(0);
-
-    let done: Vec<Vec<(usize, DesignResult, Option<String>)>> = if jobs.is_empty() {
-        Vec::new()
-    } else {
-        let queues = StealQueues::new(workers, jobs.len());
-        thread::scope(|scope| {
-            let queues = &queues;
-            let jobs = &jobs;
-            let clock = &clock;
-            let counters = &counters;
-            let finished = &finished;
-            let handles: Vec<_> = (0..workers)
-                .map(|worker| {
-                    scope.spawn(move || {
-                        let _ctx = obs::attach_parent(batch_id);
-                        let worker_span = Span::enter(recorder, "migrate.batch.worker");
-                        worker_span.attr("worker", worker);
-                        let mut out = Vec::new();
-                        loop {
-                            // Simulated kill: stop taking work once the
-                            // abort budget is spent.
-                            if finished.load(Ordering::SeqCst) >= finished_cap {
-                                break;
-                            }
-                            let Some((pos, stolen)) = queues.take(worker) else {
-                                break;
-                            };
-                            if stolen {
-                                recorder.add_counter("migrate.batch.steals", 1);
-                            }
-                            let index = jobs[pos];
-                            let (result, text) = migrate_with_retry(
-                                migrator,
-                                index,
-                                &sources[index],
-                                target,
-                                cfg,
-                                clock,
-                                counters,
-                                recorder,
-                            );
-                            finished.fetch_add(1, Ordering::SeqCst);
-                            out.push((index, result, text));
-                        }
-                        worker_span.attr("jobs", out.len());
-                        out
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                // A worker can only die to a panic that escaped the
-                // per-design isolation (e.g. a poisoned internal
-                // lock). Its taken-but-unreported designs surface
-                // as Skipped rather than killing the batch.
-                .map(|h| h.join().unwrap_or_default())
-                .collect()
-        })
-    };
-
-    for (index, result, text) in done.into_iter().flatten() {
-        match &result {
-            DesignResult::Migrated(outcome) => {
-                report.executed += 1;
-                if let Some(text) = text {
-                    checkpoint.record(index, outcome.design.name.clone(), text);
-                }
+    let results = par::map(
+        "migrate.batch",
+        recorder,
+        cfg.threads,
+        sources.iter().enumerate(),
+        |(index, source)| {
+            // Simulated kill: take no new design once the abort budget
+            // is spent.
+            if finished.load(Ordering::SeqCst) >= finished_cap {
+                return DesignResult::Skipped;
             }
-            DesignResult::Quarantined(q) => report.quarantined.push(q.clone()),
-            DesignResult::Restored(_) | DesignResult::Skipped => {}
-        }
-        slots[index] = Some(result);
-    }
+            let result = migrate_with_retry(migrator, index, source, target, cfg, &chaos, recorder);
+            finished.fetch_add(1, Ordering::SeqCst);
+            result
+        },
+    );
 
-    report.results = slots
-        .into_iter()
-        .map(|s| s.unwrap_or(DesignResult::Skipped))
-        .collect();
-    report.skipped = report
-        .results
-        .iter()
-        .filter(|r| matches!(r, DesignResult::Skipped))
-        .count();
-    report.quarantined.sort_by_key(|q| q.index);
-    report.retries = counters.retries.load(Ordering::Relaxed);
-    report.faults_injected = counters.faults.load(Ordering::Relaxed);
-    report.virtual_ticks = clock.now();
+    let mut report = BatchReport::default();
+    for result in &results {
+        match result {
+            DesignResult::Migrated(_) => report.executed += 1,
+            DesignResult::Restored(_) => report.restored += 1,
+            DesignResult::Quarantined(q) => report.quarantined.push(q.clone()),
+            DesignResult::Skipped => report.skipped += 1,
+        }
+    }
+    report.results = results;
+    report.retries = chaos.retries.load(Ordering::Relaxed);
+    report.faults_injected = chaos.faults.load(Ordering::Relaxed);
+    report.virtual_ticks = chaos.clock.now();
     batch_span.attr("quarantined", report.quarantined.len());
     batch_span.attr("restored", report.restored);
     batch_span.attr("skipped", report.skipped);
-    Ok(report)
+    report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use obs::MemoryRecorder;
+    use obs::{MemoryRecorder, NullRecorder};
     use schematic::gen::{generate, GenConfig};
 
     fn designs(n: u64) -> Vec<Design> {
@@ -704,10 +478,12 @@ mod tests {
                 &sources,
                 DialectId::Cascade,
                 &BatchConfig::with_threads(threads),
-            );
+                &NullRecorder,
+            )
+            .results;
             let parallel: Vec<String> = outcomes
                 .iter()
-                .map(|o| schematic::cascade::write(&o.design))
+                .map(|o| schematic::cascade::write(o.design().expect("healthy")))
                 .collect();
             assert_eq!(parallel, sequential, "threads={threads}");
         }
@@ -723,17 +499,21 @@ mod tests {
             &sources,
             DialectId::Cascade,
             &BatchConfig::with_threads(1),
-        );
+            &NullRecorder,
+        )
+        .results;
         let b = migrate_batch(
             &paged,
             &sources,
             DialectId::Cascade,
             &BatchConfig::with_threads(4),
-        );
+            &NullRecorder,
+        )
+        .results;
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(
-                schematic::cascade::write(&x.design),
-                schematic::cascade::write(&y.design)
+                schematic::cascade::write(x.design().expect("healthy")),
+                schematic::cascade::write(y.design().expect("healthy"))
             );
         }
     }
@@ -743,13 +523,14 @@ mod tests {
         let sources = designs(6);
         let recorder = MemoryRecorder::new();
         let migrator = Migrator::default();
-        let outcomes = migrate_batch_recorded(
+        let outcomes = migrate_batch(
             &migrator,
             &sources,
             DialectId::Cascade,
             &BatchConfig::with_threads(3),
             &recorder,
-        );
+        )
+        .results;
         assert_eq!(outcomes.len(), 6);
         assert_eq!(recorder.span_count("migrate.batch"), 1);
         assert_eq!(recorder.span_count("migrate.pipeline"), 6);
@@ -777,18 +558,19 @@ mod tests {
             .collect();
 
         let recorder = TraceRecorder::new();
-        let outcomes = migrate_batch_recorded(
+        let outcomes = migrate_batch(
             &migrator,
             &sources,
             DialectId::Cascade,
             &BatchConfig::with_threads(8),
             &recorder,
-        );
+        )
+        .results;
 
         // Tracing must not perturb results: byte-identical to sequential.
         let parallel: Vec<String> = outcomes
             .iter()
-            .map(|o| schematic::cascade::write(&o.design))
+            .map(|o| schematic::cascade::write(o.design().expect("healthy")))
             .collect();
         assert_eq!(parallel, sequential);
 
@@ -854,7 +636,9 @@ mod tests {
             &[],
             DialectId::Cascade,
             &BatchConfig::default(),
-        );
+            &NullRecorder,
+        )
+        .results;
         assert!(outcomes.is_empty());
     }
 
@@ -866,7 +650,9 @@ mod tests {
             &sources,
             DialectId::Cascade,
             &BatchConfig::with_threads(16),
-        );
+            &NullRecorder,
+        )
+        .results;
         assert_eq!(outcomes.len(), 2);
     }
 }

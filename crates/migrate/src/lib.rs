@@ -18,8 +18,9 @@
 //!
 //! The pipeline itself is a sequence of boxed [`Stage`] objects
 //! ([`stage`]); batches of designs run in parallel through
-//! [`batch::migrate_batch`]; every run can be observed through an
-//! [`obs::Recorder`].
+//! [`batch::migrate_batch`], which quarantines poison designs and
+//! resumes a killed batch from the cache's disk tier; every run can be
+//! observed through an [`obs::Recorder`].
 //!
 //! ## Example
 //!
@@ -39,7 +40,6 @@
 
 pub mod batch;
 pub mod cache;
-pub mod checkpoint;
 pub mod config;
 pub mod pipeline;
 pub mod presets;
@@ -49,11 +49,8 @@ pub mod stage;
 pub mod stages;
 pub mod verify;
 
-pub use batch::{
-    migrate_batch_resilient, DesignResult, QuarantineEntry, ResilientConfig, ResilientReport,
-};
+pub use batch::{migrate_batch, BatchConfig, BatchReport, DesignResult, QuarantineEntry};
 pub use cache::{CacheStats, CachedRun, MigrationCache, StageChain};
-pub use checkpoint::{batch_fingerprint, Checkpoint, CheckpointEntry, CheckpointError};
 pub use config::{
     ConfigError, MigrationConfig, MigrationConfigBuilder, PropRule, PropScope, StageId,
     SymbolMapEntry,
@@ -72,11 +69,9 @@ pub use verify::{verify, VerifyReport};
 /// add custom stages, and run batches is in scope.
 pub mod prelude {
     pub use crate::batch::{
-        migrate_batch, migrate_batch_recorded, migrate_batch_resilient, BatchConfig, DesignResult,
-        QuarantineEntry, ResilientConfig, ResilientReport,
+        migrate_batch, BatchConfig, BatchReport, DesignResult, QuarantineEntry,
     };
     pub use crate::cache::{CacheStats, MigrationCache};
-    pub use crate::checkpoint::{batch_fingerprint, Checkpoint, CheckpointError};
     pub use crate::config::{ConfigError, MigrationConfig, MigrationConfigBuilder, StageId};
     pub use crate::pipeline::{MigrateError, MigrationOutcome, Migrator};
     pub use crate::report::{MigrationReport, StageReport};

@@ -192,6 +192,18 @@ impl Migrator {
         target: DialectId,
         recorder: &dyn Recorder,
     ) -> MigrationOutcome {
+        self.migrate_reporting_hit(source, target, recorder).0
+    }
+
+    /// [`Migrator::migrate_recorded`], also telling the caller whether
+    /// the cache served the whole chain (no stage ran) — so the batch
+    /// can report a restored design without probing the cache again.
+    pub(crate) fn migrate_reporting_hit(
+        &self,
+        source: &Design,
+        target: DialectId,
+        recorder: &dyn Recorder,
+    ) -> (MigrationOutcome, bool) {
         let pipeline_span = Span::enter(recorder, "migrate.pipeline");
         pipeline_span.attr("design", source.name.as_str());
         pipeline_span.attr("from", source.dialect.to_string());
@@ -243,7 +255,7 @@ impl Migrator {
                         // unconditionally, exactly like a cold run.
                         let mut design = run.design;
                         design.dialect = target;
-                        return MigrationOutcome { design, report };
+                        return (MigrationOutcome { design, report }, true);
                     }
                     Lookup::Prefix(idx, run) => {
                         recorder.add_counter("migrate.cache.prefix_hit", 1);
@@ -334,7 +346,7 @@ impl Migrator {
         }
         recorder.add_counter("migrate.designs", 1);
         recorder.add_counter("migrate.issues", report.issue_count() as u64);
-        MigrationOutcome { design, report }
+        (MigrationOutcome { design, report }, false)
     }
 
     /// Migrates and independently verifies in one call. Validates the

@@ -5,9 +5,8 @@
 
 use std::sync::Arc;
 
-use migrate::batch::{migrate_batch_recorded, migrate_batch_resilient, BatchConfig};
+use migrate::batch::{migrate_batch, BatchConfig, DesignResult};
 use migrate::cache::{Lookup, MigrationCache};
-use migrate::checkpoint::Checkpoint;
 use migrate::{presets, FaultKind, FaultPlan, MigrationConfig, Migrator, RetryPolicy};
 use obs::{MemoryRecorder, NullRecorder};
 use proptest::prelude::*;
@@ -26,10 +25,10 @@ fn designs(n: u64) -> Vec<Design> {
         .collect()
 }
 
-fn emitted(outcomes: &[migrate::MigrationOutcome]) -> Vec<String> {
+fn emitted(outcomes: &[DesignResult]) -> Vec<String> {
     outcomes
         .iter()
-        .map(|o| schematic::cascade::write(&o.design))
+        .map(|o| schematic::cascade::write(o.design().expect("healthy")))
         .collect()
 }
 
@@ -43,7 +42,7 @@ fn warm_batch_is_byte_identical_to_cold_at_one_and_eight_threads() {
 
         let cold_rec = MemoryRecorder::new();
         let cold =
-            migrate_batch_recorded(&migrator, &sources, DialectId::Cascade, &batch, &cold_rec);
+            migrate_batch(&migrator, &sources, DialectId::Cascade, &batch, &cold_rec).results;
         assert_eq!(
             cold_rec.counter("migrate.cache.miss"),
             6,
@@ -57,7 +56,7 @@ fn warm_batch_is_byte_identical_to_cold_at_one_and_eight_threads() {
 
         let warm_rec = MemoryRecorder::new();
         let warm =
-            migrate_batch_recorded(&migrator, &sources, DialectId::Cascade, &batch, &warm_rec);
+            migrate_batch(&migrator, &sources, DialectId::Cascade, &batch, &warm_rec).results;
         assert_eq!(
             warm_rec.counter("migrate.cache.hit"),
             6,
@@ -70,6 +69,7 @@ fn warm_batch_is_byte_identical_to_cold_at_one_and_eight_threads() {
         );
         assert_eq!(emitted(&cold), emitted(&warm), "threads={threads}");
         for (c, w) in cold.iter().zip(&warm) {
+            let (c, w) = (c.outcome().expect("cold"), w.outcome().expect("warm"));
             assert_eq!(c.design, w.design);
             assert_eq!(format!("{}", c.report), format!("{}", w.report));
         }
@@ -83,7 +83,7 @@ fn editing_one_design_invalidates_exactly_that_design() {
     let cache = Arc::new(MigrationCache::new());
     let migrator = Migrator::default().with_cache(cache.clone());
     let batch = BatchConfig::with_threads(1);
-    migrate_batch_recorded(
+    migrate_batch(
         &migrator,
         &sources,
         DialectId::Cascade,
@@ -94,7 +94,7 @@ fn editing_one_design_invalidates_exactly_that_design() {
     // Touch one global in design 2; every other design stays warm.
     sources[2].add_global("CACHE_EDIT");
     let recorder = MemoryRecorder::new();
-    migrate_batch_recorded(&migrator, &sources, DialectId::Cascade, &batch, &recorder);
+    migrate_batch(&migrator, &sources, DialectId::Cascade, &batch, &recorder);
     assert_eq!(recorder.counter("migrate.cache.hit"), 3);
     assert_eq!(recorder.counter("migrate.cache.miss"), 1);
 }
@@ -141,7 +141,7 @@ fn quarantined_designs_are_never_cached() {
     let migrator = Migrator::default().with_cache(cache.clone());
     let poison = sources[1].name.clone();
 
-    let cfg = migrate::ResilientConfig {
+    let cfg = BatchConfig {
         threads: 1,
         retry: RetryPolicy::with_attempts(2).base_delay(1),
         // Corrupt output on every attempt: the pipeline *runs* (and
@@ -151,17 +151,8 @@ fn quarantined_designs_are_never_cached() {
         timeout_ticks: None,
         abort_after: None,
     };
-    let mut cp = Checkpoint::default();
     let recorder = MemoryRecorder::new();
-    let report = migrate_batch_resilient(
-        &migrator,
-        &sources,
-        DialectId::Cascade,
-        &cfg,
-        &mut cp,
-        &recorder,
-    )
-    .expect("runs");
+    let report = migrate_batch(&migrator, &sources, DialectId::Cascade, &cfg, &recorder);
     assert_eq!(report.quarantined.len(), 1);
     assert!(recorder.counter("migrate.cache.purge") >= 1);
 

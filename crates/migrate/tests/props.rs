@@ -5,6 +5,7 @@
 
 use migrate::batch::{migrate_batch, BatchConfig};
 use migrate::{presets, Migrator};
+use obs::NullRecorder;
 use proptest::prelude::*;
 use schematic::dialect::DialectId;
 use schematic::gen::{generate, GenConfig};
@@ -50,10 +51,12 @@ proptest! {
                 &fleet,
                 DialectId::Cascade,
                 &BatchConfig::with_threads(threads),
-            );
+                &NullRecorder,
+            )
+            .results;
             let written: Vec<String> = outcomes
                 .iter()
-                .map(|o| schematic::cascade::write(&o.design))
+                .map(|o| schematic::cascade::write(o.design().expect("healthy")))
                 .collect();
             prop_assert_eq!(&written, &reference, "threads={}", threads);
         }

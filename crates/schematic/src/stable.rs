@@ -1,8 +1,8 @@
 //! [`StableHash`] implementations for the schematic data model.
 //!
-//! A design's stable digest is the cache key the migration cache and
-//! the batch checkpoint layer share: same design content, same 64-bit
-//! value, on every run and every host. Everything that affects migration
+//! A design's stable digest is the migration cache's key, in memory
+//! and in the disk tier a resumed batch restores from: same design
+//! content, same 64-bit value, on every run and every host. Everything that affects migration
 //! output is hashed — names, geometry, properties, globals, buses,
 //! dialect — in the deterministic orders the model already maintains
 //! (`BTreeMap`/`BTreeSet` iteration, vector order).

@@ -20,7 +20,7 @@
 //! buffer is recycled across delta cycles. The circuit itself lives
 //! behind an [`Arc`], which also makes a [`Kernel`] `Send` — the basis
 //! for [`crate::race::sweep_parallel`]'s multi-threaded divergence
-//! sweeps.
+//! sweeps, which hand kernels to [`interop_core::par`] workers.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;

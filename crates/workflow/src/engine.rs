@@ -775,11 +775,10 @@ impl Engine {
     }
 
     /// Ticks until a true fixpoint: no action ran, no status changed,
-    /// and no retry is waiting out its backoff. Unlike the older
-    /// budgeted [`Engine::run_to_quiescence`], there is no magic
-    /// iteration cap to guess — termination is guaranteed because every
-    /// step's attempt budget is finite, and the report says how many
-    /// rounds were actually needed and what was left unfinished.
+    /// and no retry is waiting out its backoff. There is no iteration
+    /// cap to guess — termination is guaranteed because every step's
+    /// attempt budget is finite, and the report says how many rounds
+    /// were actually needed and what was left unfinished.
     pub fn run_to_fixpoint(&mut self) -> FixpointReport {
         let (retries0, timeouts0, panics0, faults0, vclock0) = (
             self.retries,
@@ -822,27 +821,6 @@ impl Engine {
             }
         }
         report
-    }
-
-    /// Ticks until nothing runs (or the budget is exhausted).
-    /// Returns `(ticks_used, total_actions_run)`.
-    ///
-    /// Prefer [`Engine::run_to_fixpoint`]: it needs no guessed budget
-    /// and reports what was left unfinished. This capped variant
-    /// remains for callers that genuinely want a bounded slice of
-    /// scheduling work.
-    pub fn run_to_quiescence(&mut self, max_ticks: usize) -> (usize, usize) {
-        let mut total = 0usize;
-        for t in 0..max_ticks {
-            let before = self.status_counts();
-            let ran = self.tick();
-            total += ran;
-            let after = self.status_counts();
-            if ran == 0 && before == after && !self.backoff_pending() {
-                return (t + 1, total);
-            }
-        }
-        (max_ticks, total)
     }
 
     /// Status histogram `(pending, awaiting, done, failed, stale,
