@@ -26,12 +26,14 @@ pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 pub const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 
 /// An incremental, process-independent 64-bit content hasher
-/// (FNV-1a). Also counts the bytes fed into it, which the migration
-/// cache reuses as a free size estimate for the hashed value.
+/// (FNV-1a). Also counts the bytes fed into it; [`stable_size`] runs
+/// the same walk with the count alone as a size estimate.
 #[derive(Debug, Clone)]
 pub struct StableHasher {
     state: u64,
     bytes: usize,
+    /// Set only by [`stable_size`]: count bytes, skip the FNV rounds.
+    count_only: bool,
 }
 
 impl Default for StableHasher {
@@ -43,10 +45,7 @@ impl Default for StableHasher {
 impl StableHasher {
     /// A fresh hasher at the FNV offset basis.
     pub fn new() -> Self {
-        StableHasher {
-            state: FNV_OFFSET,
-            bytes: 0,
-        }
+        StableHasher::seeded(FNV_OFFSET)
     }
 
     /// A hasher seeded from a previous digest, for chaining
@@ -55,17 +54,21 @@ impl StableHasher {
         StableHasher {
             state: seed,
             bytes: 0,
+            count_only: false,
         }
     }
 
     /// Feeds raw bytes. No framing — callers that hash variable-length
     /// data should prefer [`StableHasher::write_bytes`].
     pub fn write_raw(&mut self, bytes: &[u8]) {
+        self.bytes += bytes.len();
+        if self.count_only {
+            return;
+        }
         for &b in bytes {
             self.state ^= b as u64;
             self.state = self.state.wrapping_mul(FNV_PRIME);
         }
-        self.bytes += bytes.len();
     }
 
     /// Feeds a length-prefixed byte string.
@@ -115,9 +118,9 @@ impl StableHasher {
         self.state
     }
 
-    /// Total bytes fed so far (before framing overhead is excluded —
-    /// framing bytes count too; this is an *estimate*, used for cache
-    /// accounting, not an exact serialized size).
+    /// Total bytes fed so far, framing included: an estimate of the
+    /// hashed value's size for cache accounting, not an exact
+    /// serialized size.
     pub fn bytes_written(&self) -> usize {
         self.bytes
     }
@@ -139,13 +142,15 @@ pub fn hash_of<T: StableHash + ?Sized>(value: &T) -> u64 {
     h.finish()
 }
 
-/// One-shot digest plus the byte-count estimate accumulated while
-/// hashing. The migration cache uses the byte count for LRU
-/// accounting without a second pass over the value.
-pub fn hash_and_size<T: StableHash + ?Sized>(value: &T) -> (u64, usize) {
+/// The number of bytes `value` feeds a [`StableHasher`] — the
+/// [`StableHasher::bytes_written`] of hashing it — found by the same
+/// [`StableHash`] walk without the FNV rounds. The migration cache uses
+/// it as the size estimate for its byte budget.
+pub fn stable_size<T: StableHash + ?Sized>(value: &T) -> usize {
     let mut h = StableHasher::new();
+    h.count_only = true;
     value.stable_hash(&mut h);
-    (h.finish(), h.bytes_written())
+    h.bytes_written()
 }
 
 impl StableHash for u8 {
@@ -328,10 +333,17 @@ mod tests {
 
     #[test]
     fn byte_count_tracks_input_size() {
-        let (h1, s1) = hash_and_size("tiny");
-        let (h2, s2) = hash_and_size("a much longer input string");
-        assert_ne!(h1, h2);
+        let (s1, s2) = (
+            stable_size("tiny"),
+            stable_size("a much longer input string"),
+        );
+        assert_ne!(hash_of("tiny"), hash_of("a much longer input string"));
         assert!(s2 > s1);
+        // A length prefix (8 bytes) plus the bytes themselves.
+        assert_eq!(s1, 8 + 4);
+        let mut h = StableHasher::new();
+        "tiny".stable_hash(&mut h);
+        assert_eq!(s1, h.bytes_written());
     }
 
     #[test]

@@ -45,7 +45,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use interop_core::hash::{hash_and_size, StableHash, StableHasher};
+use interop_core::hash::{stable_size, StableHash, StableHasher};
 use schematic::design::Design;
 use schematic::dialect::DialectId;
 
@@ -133,7 +133,7 @@ pub struct CachedRun {
 
 impl CachedRun {
     fn estimated_bytes(&self) -> usize {
-        let (_, design_bytes) = hash_and_size(&self.design);
+        let design_bytes = stable_size(&self.design);
         let issue_bytes: usize = self
             .stages
             .iter()

@@ -51,20 +51,25 @@ impl NetExpr {
         match self {
             NetExpr::Scalar(_) | NetExpr::Bit(_, _) => vec![self.clone()],
             NetExpr::Range(b, from, to) => {
-                let step: i64 = if from <= to { 1 } else { -1 };
                 let mut out = Vec::with_capacity(self.bit_count());
-                let mut i = *from;
-                loop {
-                    out.push(NetExpr::Bit(b.clone(), i));
-                    if i == *to {
-                        break;
-                    }
-                    i += step;
-                }
+                out.extend(bit_indices(*from, *to).map(|i| NetExpr::Bit(b.clone(), i)));
                 out
             }
         }
     }
+}
+
+/// The bit indices of the range `from:to` (either endpoint may be
+/// larger), in declaration order: the indices of [`NetExpr::bits`].
+pub(crate) fn bit_indices(from: i64, to: i64) -> impl Iterator<Item = i64> {
+    // Every index lies between `from` and `to`, so no step wraps.
+    (0..=from.abs_diff(to)).map(move |k| {
+        if from <= to {
+            from.wrapping_add_unsigned(k)
+        } else {
+            from.wrapping_sub_unsigned(k)
+        }
+    })
 }
 
 /// A parsed net name: the structured expression plus an optional Viewstar

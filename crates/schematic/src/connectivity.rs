@@ -7,15 +7,16 @@
 //! form compared before and after translation).
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 use interop_core::intern::IStr;
 
-use crate::bus::{BusSyntax, NetExpr};
+use crate::bus::{bit_indices, BusSyntax, NetExpr};
 use crate::design::{CellSchematic, Design};
 use crate::dialect::DialectRules;
+use crate::geom::Point;
 use crate::netlist::{CellNetlist, NetInfo, Netlist, PinRef};
-use crate::sheet::ConnectorKind;
+use crate::sheet::{point_on_segment, ConnectorKind, Wire};
 
 /// An extraction problem that prevents a clean netlist.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -106,16 +107,15 @@ impl Extraction {
 }
 
 /// Formats an expanded bit or scalar name: `base<idx>` with any postfix
-/// appended.
-fn expanded(base: &str, idx: Option<i64>, postfix: Option<char>) -> String {
-    let mut s = match idx {
-        Some(i) => format!("{base}<{i}>"),
-        None => base.to_string(),
-    };
-    if let Some(c) = postfix {
-        s.push(c);
+/// appended. Takes the base by value so a scalar reuses its buffer.
+fn expanded(mut base: String, idx: Option<i64>, postfix: Option<char>) -> String {
+    if let Some(i) = idx {
+        write!(base, "<{i}>").expect("formatting into a String cannot fail");
     }
-    s
+    if let Some(c) = postfix {
+        base.push(c);
+    }
+    base
 }
 
 /// Union-find over small index sets.
@@ -125,12 +125,11 @@ struct UnionFind {
 }
 
 impl UnionFind {
-    fn new() -> Self {
-        UnionFind { parent: Vec::new() }
-    }
-    fn make(&mut self) -> usize {
-        self.parent.push(self.parent.len());
-        self.parent.len() - 1
+    /// `len` singleton sets.
+    fn new(len: usize) -> Self {
+        UnionFind {
+            parent: (0..len).collect(),
+        }
     }
     fn find(&mut self, mut x: usize) -> usize {
         while self.parent[x] != x {
@@ -149,16 +148,30 @@ impl UnionFind {
 
 /// What a geometric cluster has attached to it.
 #[derive(Debug, Clone, Default)]
-struct Cluster {
+struct Cluster<'a> {
     page: u32,
     min_point: (i64, i64),
     /// Scalar / single-bit names (already expanded, postfix folded in).
     names: BTreeSet<String>,
     /// Bus ranges labelled onto the cluster: (base, from, to, postfix).
     ranges: Vec<(String, i64, i64, Option<char>)>,
-    pins: Vec<(PinRef, IStr)>, // pin ref + raw pin name
+    pins: Vec<(PinRef, &'a str)>, // pin ref + raw pin name
     offpage_names: BTreeSet<String>,
     port_names: BTreeSet<String>,
+}
+
+impl Cluster<'_> {
+    /// Records that a connector of `kind` carries the expanded `name`.
+    fn tag(&mut self, kind: ConnectorKind, name: &str) {
+        let set = match kind {
+            ConnectorKind::OffPage => &mut self.offpage_names,
+            k if k.is_hierarchy() => &mut self.port_names,
+            _ => return,
+        };
+        if !set.contains(name) {
+            set.insert(name.to_string());
+        }
+    }
 }
 
 /// A net "atom": the per-bit (or per-scalar) unit produced from one
@@ -173,159 +186,234 @@ struct Atom {
     has_offpage: bool,
 }
 
+/// A node position: page, then drawing coordinates.
+type NodeKey = (u32, i64, i64);
+
+/// The nodes of one cell — every distinct position a wire vertex, pin
+/// or connector lands on — indexed for the question "which nodes does
+/// this wire touch?".
+///
+/// Nodes are held in `(page, x, y)` order and again in `(page, y, x)`
+/// order. Every node inside a segment's bounding box lies in one
+/// contiguous run of either order: from the box's lower corner to its
+/// upper one. For a vertical segment the run of the first order holds
+/// exactly the nodes on it, for a horizontal one the run of the second.
+/// A diagonal scans the shorter run and keeps the nodes
+/// [`point_on_segment`] accepts.
+struct NodeIndex {
+    /// Node keys with their ids, in `(page, x, y)` order. Ids number the
+    /// nodes in order of first registration.
+    by_x: Vec<(NodeKey, usize)>,
+    /// Keys as `(page, y, x)`, with their positions in `by_x`, sorted.
+    by_y: Vec<(NodeKey, usize)>,
+}
+
+impl NodeIndex {
+    /// Indexes the distinct positions among `registrations`, returning
+    /// the index and the node id of each registration.
+    fn build(registrations: &[NodeKey]) -> (NodeIndex, Vec<usize>) {
+        let mut sorted: Vec<(NodeKey, usize)> = registrations.iter().copied().zip(0..).collect();
+        sorted.sort_unstable();
+        let mut by_x: Vec<(NodeKey, usize)> = Vec::new();
+        let mut pos_of = vec![0; registrations.len()];
+        for &(key, r) in &sorted {
+            if by_x.last().is_none_or(|&(k, _)| k != key) {
+                by_x.push((key, usize::MAX));
+            }
+            pos_of[r] = by_x.len() - 1;
+        }
+        let mut next = 0;
+        let node_of = pos_of
+            .iter()
+            .map(|&p| {
+                if by_x[p].1 == usize::MAX {
+                    by_x[p].1 = next;
+                    next += 1;
+                }
+                by_x[p].1
+            })
+            .collect();
+        let mut by_y: Vec<(NodeKey, usize)> = by_x
+            .iter()
+            .enumerate()
+            .map(|(i, &((page, x, y), _))| ((page, y, x), i))
+            .collect();
+        by_y.sort_unstable();
+        (NodeIndex { by_x, by_y }, node_of)
+    }
+
+    /// The id of the node at position `i` of the `(page, x, y)` order.
+    fn node(&self, i: usize) -> usize {
+        self.by_x[i].1
+    }
+
+    /// Replaces `out` with the positions of the nodes on `page` that
+    /// `wire` touches: ascending, so in `(page, x, y)` order, each once.
+    fn touching(&self, page: u32, wire: &Wire, out: &mut Vec<usize>) {
+        out.clear();
+        for (a, b) in wire.segments() {
+            let (x0, x1) = (a.x.min(b.x), a.x.max(b.x));
+            let (y0, y1) = (a.y.min(b.y), a.y.max(b.y));
+            let run = |order: &[(NodeKey, usize)], lo: NodeKey, hi: NodeKey| {
+                order.partition_point(|&(k, _)| k < lo)..order.partition_point(|&(k, _)| k <= hi)
+            };
+            let xs = run(&self.by_x, (page, x0, y0), (page, x1, y1));
+            let ys = self.by_y[run(&self.by_y, (page, y0, x0), (page, y1, x1))]
+                .iter()
+                .map(|&(_, i)| i);
+            let on = |&i: &usize| {
+                let (_, x, y) = self.by_x[i].0;
+                point_on_segment(Point::new(x, y), a, b)
+            };
+            if x0 == x1 {
+                // Vertical, or a single point: the run is exact.
+                out.extend(xs);
+            } else if y0 == y1 {
+                out.extend(ys);
+            } else if xs.len() <= ys.len() {
+                out.extend(xs.filter(on));
+            } else {
+                out.extend(ys.filter(on));
+            }
+        }
+        out.sort_unstable();
+        out.dedup();
+    }
+}
+
 /// Extracts the connectivity of one cell under a dialect rule table.
 pub fn extract_cell(design: &Design, cell: &CellSchematic, rules: &DialectRules) -> Extraction {
     let mut errors = Vec::new();
-    let mut uf = UnionFind::new();
-    let mut nodes: BTreeMap<(u32, i64, i64), usize> = BTreeMap::new();
-    let node_of =
-        |uf: &mut UnionFind,
-         nodes: &mut BTreeMap<(u32, i64, i64), usize>,
-         page: u32,
-         x: i64,
-         y: i64| { *nodes.entry((page, x, y)).or_insert_with(|| uf.make()) };
 
-    // Pass 1: register geometry and union wire paths.
-    struct PinSite {
-        page: u32,
-        node: usize,
+    // Pass 1: register geometry — every wire vertex, pin and connector —
+    // then number the distinct positions and union wire paths.
+    let mut registrations: Vec<NodeKey> = Vec::new();
+    // Per wire, in sheet and wire order: its page and the registration
+    // of its first vertex (the rest follow it).
+    let mut wire_heads: Vec<(u32, usize)> = Vec::new();
+    struct PinSite<'a> {
+        reg: usize,
         pin: PinRef,
-        raw_name: IStr,
+        raw_name: &'a str,
     }
     let mut pin_sites: Vec<PinSite> = Vec::new();
-    struct ConnSite {
-        node: usize,
+    struct ConnSite<'a> {
+        reg: usize,
         kind: ConnectorKind,
-        name: IStr,
+        name: &'a str,
     }
     let mut conn_sites: Vec<ConnSite> = Vec::new();
 
     for sheet in &cell.sheets {
+        let page = sheet.page;
         for wire in &sheet.wires {
-            let mut prev: Option<usize> = None;
-            for p in &wire.points {
-                let n = node_of(&mut uf, &mut nodes, sheet.page, p.x, p.y);
-                if let Some(pn) = prev {
-                    uf.union(pn, n);
-                }
-                prev = Some(n);
-            }
+            wire_heads.push((page, registrations.len()));
+            registrations.extend(wire.points.iter().map(|p| (page, p.x, p.y)));
         }
         for inst in &sheet.instances {
             let Some(sym) = design.resolve_symbol(&inst.symbol) else {
                 errors.push(ConnError::UnresolvedSymbol {
-                    page: sheet.page,
+                    page,
                     inst: inst.name.as_str().to_string(),
                 });
                 continue;
             };
             for pin in &sym.pins {
                 let at = inst.place.apply(pin.at);
-                let n = node_of(&mut uf, &mut nodes, sheet.page, at.x, at.y);
                 pin_sites.push(PinSite {
-                    page: sheet.page,
-                    node: n,
+                    reg: registrations.len(),
                     pin: PinRef::new(inst.name.clone(), pin.name.clone()),
-                    raw_name: pin.name.clone(),
+                    raw_name: &pin.name,
                 });
+                registrations.push((page, at.x, at.y));
             }
         }
         for conn in &sheet.connectors {
-            let n = node_of(&mut uf, &mut nodes, sheet.page, conn.at.x, conn.at.y);
             conn_sites.push(ConnSite {
-                node: n,
+                reg: registrations.len(),
                 kind: conn.kind,
-                name: conn.name.clone(),
+                name: &conn.name,
             });
+            registrations.push((page, conn.at.x, conn.at.y));
+        }
+    }
+    let (index, node_of) = NodeIndex::build(&registrations);
+    let mut uf = UnionFind::new(index.by_x.len());
+    let wires = || {
+        let wires = cell.sheets.iter().flat_map(|s| &s.wires);
+        wires.zip(wire_heads.iter().copied())
+    };
+    for (wire, (_, head)) in wires() {
+        for w in node_of[head..head + wire.points.len()].windows(2) {
+            uf.union(w[0], w[1]);
         }
     }
 
     // Pass 2: union every registered node that touches a wire on the same
-    // page (captures T junctions and pins landing mid-segment).
-    {
-        let keys: Vec<(u32, i64, i64)> = nodes.keys().copied().collect();
-        for sheet in &cell.sheets {
-            for wire in &sheet.wires {
-                let head = wire.points[0];
-                let head_node = nodes[&(sheet.page, head.x, head.y)];
-                for &(pg, x, y) in &keys {
-                    if pg != sheet.page {
-                        continue;
-                    }
-                    let p = crate::geom::Point::new(x, y);
-                    if wire.touches(p) {
-                        let n = nodes[&(pg, x, y)];
-                        uf.union(n, head_node);
-                    }
-                }
-            }
+    // page (captures T junctions and pins landing mid-segment). Each
+    // wire's nodes are united with its head in `(page, x, y)` order.
+    let mut touched = Vec::new();
+    for (wire, (page, head)) in wires() {
+        index.touching(page, wire, &mut touched);
+        for &i in &touched {
+            uf.union(index.node(i), node_of[head]);
         }
     }
 
-    // Pass 3: gather cluster attributes.
-    let mut clusters: BTreeMap<usize, Cluster> = BTreeMap::new();
-    let cluster_of = |uf: &mut UnionFind,
-                      clusters: &mut BTreeMap<usize, Cluster>,
-                      node: usize,
-                      page: u32,
-                      at: (i64, i64)|
-     -> usize {
-        let root = uf.find(node);
-        let c = clusters.entry(root).or_insert_with(|| Cluster {
-            page,
-            min_point: at,
-            ..Cluster::default()
-        });
-        if at < c.min_point {
-            c.min_point = at;
+    // Pass 3: gather cluster attributes, one cluster per union-find root,
+    // in root order. No union follows, so each node's cluster is fixed.
+    let mut clusters: Vec<Cluster> = Vec::new();
+    let mut cluster_of: Vec<usize> = (0..uf.parent.len()).map(|i| uf.find(i)).collect();
+    let mut slot = vec![0; cluster_of.len()];
+    for (i, &root) in cluster_of.iter().enumerate() {
+        if root == i {
+            slot[i] = clusters.len();
+            clusters.push(Cluster::default());
         }
-        root
-    };
-
-    for ((page, x, y), &node) in &nodes {
-        cluster_of(&mut uf, &mut clusters, node, *page, (*x, *y));
+    }
+    for c in &mut cluster_of {
+        *c = slot[*c];
+    }
+    // In descending key order, so each cluster ends on its minimum point.
+    for &((page, x, y), node) in index.by_x.iter().rev() {
+        let cl = &mut clusters[cluster_of[node]];
+        cl.page = page;
+        cl.min_point = (x, y);
     }
 
     // Wire labels.
-    for sheet in &cell.sheets {
-        for wire in &sheet.wires {
-            let Some(label) = &wire.label else { continue };
-            let head = wire.points[0];
-            let node = nodes[&(sheet.page, head.x, head.y)];
-            let root = cluster_of(&mut uf, &mut clusters, node, sheet.page, (head.x, head.y));
-            match rules.bus.parse(&label.text, &cell.buses) {
-                Ok(name) => {
-                    let cl = clusters.get_mut(&root).expect("cluster exists");
-                    match name.expr {
-                        NetExpr::Scalar(b) => {
-                            cl.names.insert(expanded(&b, None, name.postfix));
-                        }
-                        NetExpr::Bit(b, i) => {
-                            cl.names.insert(expanded(&b, Some(i), name.postfix));
-                        }
-                        NetExpr::Range(b, f, t) => cl.ranges.push((b, f, t, name.postfix)),
+    for (wire, (page, head)) in wires() {
+        let Some(label) = &wire.label else { continue };
+        match rules.bus.parse(&label.text, &cell.buses) {
+            Ok(name) => {
+                let cl = &mut clusters[cluster_of[node_of[head]]];
+                match name.expr {
+                    NetExpr::Scalar(b) => {
+                        cl.names.insert(expanded(b, None, name.postfix));
                     }
+                    NetExpr::Bit(b, i) => {
+                        cl.names.insert(expanded(b, Some(i), name.postfix));
+                    }
+                    NetExpr::Range(b, f, t) => cl.ranges.push((b, f, t, name.postfix)),
                 }
-                Err(e) => errors.push(ConnError::UnparsedLabel {
-                    page: sheet.page,
-                    text: label.text.as_str().to_string(),
-                    reason: e.to_string(),
-                }),
             }
+            Err(e) => errors.push(ConnError::UnparsedLabel {
+                page,
+                text: label.text.as_str().to_string(),
+                reason: e.to_string(),
+            }),
         }
     }
 
     // Connectors.
     for site in &conn_sites {
-        let root = uf.find(site.node);
-        let cl = clusters.get_mut(&root).expect("cluster exists");
-        let parsed = rules.bus.parse(&site.name, &cell.buses);
-        let parsed = match parsed {
+        let cl = &mut clusters[cluster_of[node_of[site.reg]]];
+        let parsed = match rules.bus.parse(site.name, &cell.buses) {
             Ok(p) => p,
             Err(e) => {
                 errors.push(ConnError::UnparsedLabel {
                     page: cl.page,
-                    text: site.name.as_str().to_string(),
+                    text: site.name.to_string(),
                     reason: e.to_string(),
                 });
                 continue;
@@ -333,45 +421,20 @@ pub fn extract_cell(design: &Design, cell: &CellSchematic, rules: &DialectRules)
         };
         match parsed.expr {
             NetExpr::Scalar(b) => {
-                let n = expanded(&b, None, parsed.postfix);
-                match site.kind {
-                    ConnectorKind::OffPage => {
-                        cl.offpage_names.insert(n.clone());
-                    }
-                    k if k.is_hierarchy() => {
-                        cl.port_names.insert(n.clone());
-                    }
-                    _ => {}
-                }
+                let n = expanded(b, None, parsed.postfix);
+                cl.tag(site.kind, &n);
                 cl.names.insert(n);
             }
             NetExpr::Bit(b, i) => {
-                let n = expanded(&b, Some(i), parsed.postfix);
-                match site.kind {
-                    ConnectorKind::OffPage => {
-                        cl.offpage_names.insert(n.clone());
-                    }
-                    k if k.is_hierarchy() => {
-                        cl.port_names.insert(n.clone());
-                    }
-                    _ => {}
-                }
+                let n = expanded(b, Some(i), parsed.postfix);
+                cl.tag(site.kind, &n);
                 cl.names.insert(n);
             }
             NetExpr::Range(b, f, t) => {
-                for bit in NetExpr::Range(b.clone(), f, t).bits() {
-                    if let NetExpr::Bit(bb, i) = bit {
-                        let n = expanded(&bb, Some(i), parsed.postfix);
-                        match site.kind {
-                            ConnectorKind::OffPage => {
-                                cl.offpage_names.insert(n.clone());
-                            }
-                            k if k.is_hierarchy() => {
-                                cl.port_names.insert(n.clone());
-                            }
-                            _ => {}
-                        }
-                    }
+                if site.kind == ConnectorKind::OffPage || site.kind.is_hierarchy() {
+                    bit_indices(f, t).for_each(|i| {
+                        cl.tag(site.kind, &expanded(b.clone(), Some(i), parsed.postfix))
+                    });
                 }
                 cl.ranges.push((b, f, t, parsed.postfix));
             }
@@ -379,171 +442,161 @@ pub fn extract_cell(design: &Design, cell: &CellSchematic, rules: &DialectRules)
     }
 
     // Pins.
-    for site in &pin_sites {
-        let root = uf.find(site.node);
-        let cl = clusters.get_mut(&root).expect("cluster exists");
-        cl.pins.push((site.pin.clone(), site.raw_name.clone()));
-        let _ = site.page;
+    for site in pin_sites {
+        clusters[cluster_of[node_of[site.reg]]]
+            .pins
+            .push((site.pin, site.raw_name));
     }
 
-    // Pass 4: clusters -> atoms.
+    // Pass 4: clusters -> atoms, in root order.
     let mut atoms: Vec<Atom> = Vec::new();
-    for cl in clusters.values() {
+    for cl in clusters {
         let order_key = (cl.page, cl.min_point.0, cl.min_point.1);
         if cl.ranges.is_empty() {
             // Plain net.
-            let mut atom = Atom {
+            atoms.push(Atom {
                 page: cl.page,
                 order_key,
-                names: cl.names.clone(),
-                ports: cl.port_names.clone(),
                 has_offpage: !cl.offpage_names.is_empty(),
-                ..Atom::default()
-            };
-            for (pin, _raw) in &cl.pins {
-                atom.pins.insert(pin.clone());
-            }
-            atoms.push(atom);
-        } else {
-            // Bundle: one atom per covered bit.
-            let bases: BTreeSet<&str> = cl.ranges.iter().map(|(b, _, _, _)| b.as_str()).collect();
-            let mut bits: BTreeMap<String, Atom> = BTreeMap::new();
-            for (b, f, t, pf) in &cl.ranges {
-                for bit in NetExpr::Range(b.clone(), *f, *t).bits() {
-                    if let NetExpr::Bit(bb, i) = bit {
-                        let n = expanded(&bb, Some(i), *pf);
-                        let atom = bits.entry(n.clone()).or_insert_with(|| Atom {
-                            page: cl.page,
-                            order_key,
-                            ..Atom::default()
-                        });
-                        atom.names.insert(n.clone());
-                        if cl.offpage_names.contains(&n) {
-                            atom.has_offpage = true;
-                        }
-                        if cl.port_names.contains(&n) {
-                            atom.ports.insert(n.clone());
-                        }
-                    }
+                names: cl.names,
+                ports: cl.port_names,
+                pins: cl.pins.into_iter().map(|(pin, _raw)| pin).collect(),
+            });
+            continue;
+        }
+        // Bundle: one atom per covered bit.
+        let bases: BTreeSet<&str> = cl.ranges.iter().map(|(b, _, _, _)| b.as_str()).collect();
+        let mut bits: BTreeMap<String, Atom> = BTreeMap::new();
+        for (b, f, t, pf) in &cl.ranges {
+            bit_indices(*f, *t).for_each(|i| {
+                let n = expanded(b.clone(), Some(i), *pf);
+                if bits.contains_key(&n) {
+                    return;
                 }
-            }
-            // Pins must be bus-bit named with a matching base.
-            let scope: BTreeSet<IStr> = bases.iter().map(|s| IStr::from(*s)).collect();
-            for (pin, raw) in &cl.pins {
-                match BusSyntax::Viewstar.parse(raw, &scope) {
-                    Ok(p) => match p.expr {
-                        NetExpr::Bit(b, i) if bases.contains(b.as_str()) => {
-                            // Attach to any postfix variant carrying this bit.
-                            let mut attached = false;
-                            for (b2, f, t, pf) in &cl.ranges {
-                                if *b2 == b {
-                                    let lo = *f.min(t);
-                                    let hi = *f.max(t);
-                                    if i >= lo && i <= hi {
-                                        let n = expanded(&b, Some(i), *pf);
-                                        if let Some(atom) = bits.get_mut(&n) {
-                                            atom.pins.insert(pin.clone());
-                                            attached = true;
-                                        }
-                                    }
+                let mut atom = Atom {
+                    page: cl.page,
+                    order_key,
+                    has_offpage: cl.offpage_names.contains(&n),
+                    ..Atom::default()
+                };
+                if cl.port_names.contains(&n) {
+                    atom.ports.insert(n.clone());
+                }
+                atom.names.insert(n.clone());
+                bits.insert(n, atom);
+            });
+        }
+        // Pins must be bus-bit named with a matching base.
+        let scope: BTreeSet<IStr> = bases.iter().map(|s| IStr::from(*s)).collect();
+        let bundle = || bases.iter().copied().collect::<Vec<_>>().join(",");
+        for (pin, raw) in &cl.pins {
+            match BusSyntax::Viewstar.parse(raw, &scope) {
+                Ok(p) => match p.expr {
+                    NetExpr::Bit(b, i) if bases.contains(b.as_str()) => {
+                        // Attach to any postfix variant carrying this bit.
+                        let mut attached = false;
+                        for (b2, f, t, pf) in &cl.ranges {
+                            if *b2 == b && (*f.min(t)..=*f.max(t)).contains(&i) {
+                                if let Some(atom) = bits.get_mut(&expanded(b.clone(), Some(i), *pf))
+                                {
+                                    atom.pins.insert(pin.clone());
+                                    attached = true;
                                 }
                             }
-                            if !attached {
-                                errors.push(ConnError::BusTapMismatch {
-                                    page: cl.page,
-                                    what: format!("pin {pin} bit {i} outside bundle range"),
-                                    bundle: bases.iter().copied().collect::<Vec<_>>().join(","),
-                                });
-                            }
                         }
-                        _ => errors.push(ConnError::BusTapMismatch {
-                            page: cl.page,
-                            what: format!("scalar pin {pin}"),
-                            bundle: bases.iter().copied().collect::<Vec<_>>().join(","),
-                        }),
-                    },
-                    Err(e) => errors.push(ConnError::UnparsedLabel {
+                        if !attached {
+                            errors.push(ConnError::BusTapMismatch {
+                                page: cl.page,
+                                what: format!("pin {pin} bit {i} outside bundle range"),
+                                bundle: bundle(),
+                            });
+                        }
+                    }
+                    _ => errors.push(ConnError::BusTapMismatch {
                         page: cl.page,
-                        text: raw.as_str().to_string(),
-                        reason: e.to_string(),
+                        what: format!("scalar pin {pin}"),
+                        bundle: bundle(),
                     }),
-                }
+                },
+                Err(e) => errors.push(ConnError::UnparsedLabel {
+                    page: cl.page,
+                    text: raw.to_string(),
+                    reason: e.to_string(),
+                }),
             }
-            // Scalar names alongside ranges are taps onto single bits or
-            // mistakes.
-            for n in &cl.names {
-                let covered = bits.contains_key(n);
-                if !covered {
-                    errors.push(ConnError::BusTapMismatch {
-                        page: cl.page,
-                        what: format!("name `{n}`"),
-                        bundle: bases.iter().copied().collect::<Vec<_>>().join(","),
-                    });
-                }
-            }
-            atoms.extend(bits.into_values());
         }
+        // Scalar names alongside ranges are taps onto single bits or
+        // mistakes.
+        for n in &cl.names {
+            if !bits.contains_key(n) {
+                errors.push(ConnError::BusTapMismatch {
+                    page: cl.page,
+                    what: format!("name `{n}`"),
+                    bundle: bundle(),
+                });
+            }
+        }
+        atoms.extend(bits.into_values());
     }
 
-    // Pass 5: merge atoms by name per dialect rules.
+    // Pass 5: merge atoms by name per dialect rules. Names are visited in
+    // order, and each name's atoms in index order.
     atoms.sort_by_key(|a| a.order_key);
-    let mut auf = UnionFind::new();
-    for _ in 0..atoms.len() {
-        auf.make();
-    }
-    let mut by_name: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
-    for (i, atom) in atoms.iter().enumerate() {
-        for n in &atom.names {
-            by_name.entry(n).or_default().push(i);
-        }
-    }
-    for (name, members) in &by_name {
-        let is_global = design.globals().contains(*name);
+    let mut auf = UnionFind::new(atoms.len());
+    let mut by_name: Vec<(&str, usize)> = atoms
+        .iter()
+        .enumerate()
+        .flat_map(|(i, atom)| atom.names.iter().map(move |n| (n.as_str(), i)))
+        .collect();
+    by_name.sort_unstable();
+    let mut per_page: Vec<(u32, usize)> = Vec::new();
+    for members in by_name.chunk_by(|a, b| a.0 == b.0) {
+        let is_global = design.globals().contains(members[0].0);
         if rules.implicit_page_nets || is_global {
             for w in members.windows(2) {
-                auf.union(w[0], w[1]);
+                auf.union(w[0].1, w[1].1);
             }
-        } else {
-            // Same-page merging always applies.
-            let mut per_page: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
-            for &m in members {
-                per_page.entry(atoms[m].page).or_default().push(m);
+            continue;
+        }
+        // Same-page merging always applies.
+        per_page.clear();
+        per_page.extend(members.iter().map(|&(_, m)| (atoms[m].page, m)));
+        per_page.sort_unstable();
+        for w in per_page.windows(2) {
+            if w[0].0 == w[1].0 {
+                auf.union(w[0].1, w[1].1);
             }
-            for v in per_page.values() {
-                for w in v.windows(2) {
-                    auf.union(w[0], w[1]);
-                }
-            }
-            // Cross-page merging only through off-page connectors.
-            let gated: Vec<usize> = members
-                .iter()
-                .copied()
-                .filter(|&m| atoms[m].has_offpage)
-                .collect();
-            for w in gated.windows(2) {
-                auf.union(w[0], w[1]);
+        }
+        // Cross-page merging only through off-page connectors.
+        let mut gated = members
+            .iter()
+            .map(|&(_, m)| m)
+            .filter(|&m| atoms[m].has_offpage);
+        if let Some(mut prev) = gated.next() {
+            for m in gated {
+                auf.union(prev, m);
+                prev = m;
             }
         }
     }
 
-    // Pass 6: materialize nets.
-    let mut grouped: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-    for i in 0..atoms.len() {
-        grouped.entry(auf.find(i)).or_default().push(i);
-    }
+    // Pass 6: materialize nets, one per union-find group. Groups go in
+    // root order, then stably by their first atom's position.
+    let mut grouped: Vec<(usize, usize)> = (0..atoms.len()).map(|i| (auf.find(i), i)).collect();
+    grouped.sort_unstable();
+    let mut groups: Vec<&[(usize, usize)]> = grouped.chunk_by(|a, b| a.0 == b.0).collect();
+    groups.sort_by_key(|g| atoms[g[0].1].order_key);
     let port_names: BTreeSet<&str> = cell.ports.iter().map(|p| p.name.as_str()).collect();
     let mut nets: Vec<ExtractedNet> = Vec::new();
     let mut anon = 0usize;
-    let mut groups: Vec<Vec<usize>> = grouped.into_values().collect();
-    groups.sort_by_key(|g| atoms[g[0]].order_key);
     for group in groups {
         let mut net = ExtractedNet::default();
-        for &i in &group {
-            let a = &atoms[i];
-            net.aliases.extend(a.names.iter().cloned());
-            net.pins.extend(a.pins.iter().cloned());
+        for &(_, i) in group {
+            let mut a = std::mem::take(&mut atoms[i]);
+            net.aliases.append(&mut a.names);
+            net.pins.append(&mut a.pins);
             net.pages.insert(a.page);
-            net.ports.extend(a.ports.iter().cloned());
+            net.ports.append(&mut a.ports);
             net.has_offpage |= a.has_offpage;
         }
         if net.pins.is_empty() && net.aliases.is_empty() {
@@ -551,7 +604,7 @@ pub fn extract_cell(design: &Design, cell: &CellSchematic, rules: &DialectRules)
         }
         // Name-based port binding (Viewstar has no hierarchy connectors).
         for alias in &net.aliases {
-            if port_names.contains(alias.as_str()) {
+            if port_names.contains(alias.as_str()) && !net.ports.contains(alias) {
                 net.ports.insert(alias.clone());
             }
         }
@@ -559,7 +612,7 @@ pub fn extract_cell(design: &Design, cell: &CellSchematic, rules: &DialectRules)
             .aliases
             .iter()
             .any(|n| design.globals().contains(n.as_str()));
-        net.name = match net.aliases.iter().next() {
+        net.name = match net.aliases.first() {
             Some(n) => n.clone(),
             None => {
                 anon += 1;
@@ -595,16 +648,20 @@ pub fn extract_design(
                     .insert(inst.name.clone(), inst.symbol.cell.clone());
             }
         }
-        for net in ex.nets {
-            cn.nets.insert(
-                net.name.clone(),
-                NetInfo {
+        // Nets arrive sorted by name; as with `insert`, the last of
+        // several same-named nets wins.
+        cn.nets = ex
+            .nets
+            .into_iter()
+            .map(|net| {
+                let info = NetInfo {
                     pins: net.pins,
                     is_global: net.is_global,
                     ports: net.ports,
-                },
-            );
-        }
+                };
+                (net.name, info)
+            })
+            .collect();
         for e in ex.errors {
             errors.push((name.to_string(), e));
         }
@@ -616,8 +673,11 @@ pub fn extract_design(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
     use crate::design::{CellSchematic, Library};
     use crate::dialect::{DialectId, DialectRules};
+    use crate::gen::{generate, GenConfig};
     use crate::geom::{Orient, Point};
     use crate::property::{FontMetrics, Label};
     use crate::sheet::{Connector, Instance, Sheet, Wire};
@@ -949,6 +1009,153 @@ mod tests {
         d.add_cell(cell);
         let ex = extract_cell(&d, d.cell("top").unwrap(), &DialectRules::viewstar());
         assert!(matches!(ex.errors[0], ConnError::UnresolvedSymbol { .. }));
+    }
+
+    /// The node keys `wire` touches on `page`, by the index and by
+    /// brute force over every indexed node with [`Wire::touches`].
+    fn touch_both_ways(index: &NodeIndex, page: u32, wire: &Wire) -> (Vec<NodeKey>, Vec<NodeKey>) {
+        let mut out = Vec::new();
+        index.touching(page, wire, &mut out);
+        let fast = out.iter().map(|&i| index.by_x[i].0).collect();
+        let brute = index
+            .by_x
+            .iter()
+            .map(|&(k, _)| k)
+            .filter(|&(pg, x, y)| pg == page && wire.touches(Point::new(x, y)))
+            .collect();
+        (fast, brute)
+    }
+
+    #[test]
+    fn node_ids_follow_first_registration() {
+        let regs = [
+            (1, 5, 5),
+            (1, 0, 0),
+            (2, 0, 0),
+            (1, 5, 5),
+            (1, 0, 0),
+            (1, -3, 9),
+        ];
+        let (index, node_of) = NodeIndex::build(&regs);
+        assert_eq!(node_of, vec![0, 1, 2, 0, 1, 3]);
+        let keys: Vec<NodeKey> = index.by_x.iter().map(|&(k, _)| k).collect();
+        assert_eq!(keys, vec![(1, -3, 9), (1, 0, 0), (1, 5, 5), (2, 0, 0)]);
+        for (r, key) in regs.iter().enumerate() {
+            let pos = keys.iter().position(|k| k == key).unwrap();
+            assert_eq!(index.node(pos), node_of[r]);
+        }
+    }
+
+    #[test]
+    fn touch_query_matches_brute_force_on_named_cases() {
+        let p = Point::new;
+        let nodes: Vec<NodeKey> = (-2..=10)
+            .flat_map(|x| (-2..=10).flat_map(move |y| [(1, x, y), (2, x, y)]))
+            .collect();
+        let (index, _) = NodeIndex::build(&nodes);
+        let wires = [
+            ("horizontal", vec![p(0, 3), p(8, 3)]),
+            ("vertical", vec![p(4, 8), p(4, 0)]),
+            ("diagonal", vec![p(0, 0), p(8, 8)]),
+            ("anti-diagonal", vec![p(0, 8), p(6, 2)]),
+            ("steep", vec![p(0, 0), p(2, 8)]),
+            ("zero-length", vec![p(5, 5), p(5, 5)]),
+            ("multi-segment", vec![p(0, 0), p(6, 0), p(6, 6), p(0, 0)]),
+            ("crossing itself", vec![p(0, 4), p(8, 4), p(4, 0), p(4, 8)]),
+        ];
+        for (what, points) in wires {
+            let wire = Wire::new(points);
+            let (fast, brute) = touch_both_ways(&index, 1, &wire);
+            assert_eq!(fast, brute, "{what}");
+            assert!(!fast.is_empty(), "{what}");
+            assert!(
+                fast.iter().all(|&(pg, _, _)| pg == 1),
+                "{what}: page 1 only"
+            );
+            assert!(
+                fast.windows(2).all(|w| w[0] < w[1]),
+                "{what}: ascending, once"
+            );
+        }
+        // (6, 0) and (4, 4) each touch two segments of one wire; both are
+        // reported once.
+        let (fast, _) = touch_both_ways(
+            &index,
+            1,
+            &Wire::new(vec![p(0, 0), p(6, 0), p(6, 6), p(0, 0)]),
+        );
+        assert_eq!(fast.iter().filter(|&&k| k == (1, 6, 0)).count(), 1);
+        let (fast, _) = touch_both_ways(
+            &index,
+            2,
+            &Wire::new(vec![p(0, 4), p(8, 4), p(4, 0), p(4, 8)]),
+        );
+        assert_eq!(fast.iter().filter(|&&k| k == (2, 4, 4)).count(), 1);
+        // A page with no nodes has nothing to touch.
+        let (fast, _) = touch_both_ways(&index, 3, &Wire::new(vec![p(0, 0), p(8, 8)]));
+        assert!(fast.is_empty());
+    }
+
+    fn arb_wire() -> impl Strategy<Value = Wire> {
+        let step = (0u8..5, -4i64..5, -4i64..5).prop_map(|(kind, u, v)| match kind {
+            0 => (u, 0),
+            1 => (0, v),
+            2 => (u, u),
+            3 => (u, -u),
+            _ => (u, v),
+        });
+        ((-6i64..7, -6i64..7), prop::collection::vec(step, 1..5)).prop_map(|((x, y), steps)| {
+            let mut points = vec![Point::new(x, y)];
+            for (dx, dy) in steps {
+                let last = *points.last().unwrap();
+                points.push(Point::new(last.x + dx, last.y + dy));
+            }
+            Wire::new(points)
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn touch_query_matches_brute_force(
+            wire in arb_wire(),
+            extra in prop::collection::vec((1u32..3, -10i64..11, -10i64..11), 0..60),
+        ) {
+            // The wire's own vertices and segment midpoints (where they
+            // fall on the grid) on both pages, plus random nodes.
+            let mut nodes = extra;
+            for (a, b) in wire.segments() {
+                for pt in [a, b, Point::new((a.x + b.x) / 2, (a.y + b.y) / 2)] {
+                    nodes.push((1, pt.x, pt.y));
+                    nodes.push((2, pt.x, pt.y));
+                }
+            }
+            let (index, _) = NodeIndex::build(&nodes);
+            for page in 1..=2 {
+                let (fast, brute) = touch_both_ways(&index, page, &wire);
+                prop_assert_eq!(fast, brute);
+            }
+        }
+    }
+
+    #[test]
+    fn hostile_wire_coordinates_extract_without_overflow() {
+        // A wire whose coordinate differences overflow an `i64` product.
+        let source = generate(&GenConfig::default());
+        let mut replaced = false;
+        let mut text = String::new();
+        for line in crate::viewstar::write(&source).lines() {
+            if !replaced && line.starts_with("W ") {
+                replaced = true;
+                text.push_str("W 2 0 0 4000000000000 4000000000000");
+            } else {
+                text.push_str(line);
+            }
+            text.push('\n');
+        }
+        assert!(replaced, "the generated design has a wire");
+        let hostile = crate::viewstar::parse(&text).expect("the hostile wire is well-formed");
+        let (netlist, _) = extract_design(&hostile, &DialectRules::viewstar());
+        assert_eq!(netlist.cells.len(), source.cells().count());
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Designs: libraries plus hierarchical schematic cells.
 
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet};
 
-use interop_core::intern::{intern, IStr};
+use interop_core::intern::IStr;
 
 use crate::dialect::DialectId;
 use crate::sheet::Sheet;
@@ -13,7 +14,58 @@ use crate::symbol::{SymbolDef, SymbolPin, SymbolRef};
 pub struct Library {
     /// Library name (interned; shared by every symbol reference).
     pub name: IStr,
-    symbols: BTreeMap<(IStr, IStr), SymbolDef>,
+    symbols: BTreeMap<SymbolKey, SymbolDef>,
+}
+
+/// The owned `(cell, view)` key of a library entry.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+struct SymbolKey(IStr, IStr);
+
+/// A `(cell, view)` name pair, owned or borrowed. Keying the library's
+/// map by [`SymbolKey`] while probing it through this trait lets a
+/// lookup compare borrowed names without building an owned key.
+trait NamePair {
+    fn pair(&self) -> (&str, &str);
+}
+
+impl NamePair for SymbolKey {
+    fn pair(&self) -> (&str, &str) {
+        (&self.0, &self.1)
+    }
+}
+
+impl NamePair for (&str, &str) {
+    fn pair(&self) -> (&str, &str) {
+        *self
+    }
+}
+
+// `Borrow` requires the borrowed form to compare as the owned key does:
+// both order by the name strings, cell first.
+impl<'a> Borrow<dyn NamePair + 'a> for SymbolKey {
+    fn borrow(&self) -> &(dyn NamePair + 'a) {
+        self
+    }
+}
+
+impl PartialEq for dyn NamePair + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.pair() == other.pair()
+    }
+}
+
+impl Eq for dyn NamePair + '_ {}
+
+impl PartialOrd for dyn NamePair + '_ {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for dyn NamePair + '_ {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.pair().cmp(&other.pair())
+    }
 }
 
 impl Library {
@@ -30,18 +82,16 @@ impl Library {
     /// this library.
     pub fn add(&mut self, mut sym: SymbolDef) {
         sym.reference.library = self.name.clone();
-        self.symbols.insert(
-            (sym.reference.cell.clone(), sym.reference.view.clone()),
-            sym,
-        );
+        let key = SymbolKey(sym.reference.cell.clone(), sym.reference.view.clone());
+        self.symbols.insert(key, sym);
     }
 
     /// Looks up a symbol by cell and view name.
     pub fn symbol(&self, cell: &str, view: &str) -> Option<&SymbolDef> {
-        self.symbols.get(&(intern(cell), intern(view)))
+        self.symbols.get(&(cell, view) as &dyn NamePair)
     }
 
-    /// Iterates over all symbols in key order.
+    /// Iterates over all symbols in `(cell, view)` order.
     pub fn iter(&self) -> impl Iterator<Item = &SymbolDef> {
         self.symbols.values()
     }
@@ -368,5 +418,37 @@ mod tests {
         assert_eq!(lib.symbol("c", "v").unwrap().reference.library, "mylib");
         assert_eq!(lib.len(), 1);
         assert!(!lib.is_empty());
+    }
+
+    #[test]
+    fn library_iterates_in_cell_view_order() {
+        let mut lib = Library::new("lib");
+        for (cell, view) in [
+            ("nand", "symbol"),
+            ("inv", "symbol"),
+            ("inv", "alt"),
+            ("and", "x"),
+        ] {
+            lib.add(SymbolDef::new(SymbolRef::new("lib", cell, view), 16));
+        }
+        // Replacing a symbol keeps one entry per (cell, view).
+        lib.add(SymbolDef::new(SymbolRef::new("lib", "inv", "alt"), 32));
+        let keys: Vec<(&str, &str)> = lib
+            .iter()
+            .map(|s| (s.reference.cell.as_str(), s.reference.view.as_str()))
+            .collect();
+        assert_eq!(
+            keys,
+            [
+                ("and", "x"),
+                ("inv", "alt"),
+                ("inv", "symbol"),
+                ("nand", "symbol")
+            ]
+        );
+        assert_eq!(lib.len(), 4);
+        assert_eq!(lib.symbol("inv", "alt").unwrap().grid, 32);
+        assert!(lib.symbol("inv", "x").is_none());
+        assert!(lib.symbol("nor", "symbol").is_none());
     }
 }

@@ -89,17 +89,22 @@ impl Wire {
 
 /// True when `p` lies on the closed segment `a`–`b`. A degenerate
 /// segment (`a == b`) contains only that single point.
+///
+/// Exact for every `i64` coordinate: a collinear point lies on the
+/// segment exactly when it lies in the segment's bounding box, and the
+/// collinearity test compares the two cross-product terms as sign and
+/// `u128` magnitude, which no pair of `i64` differences can overflow.
 pub fn point_on_segment(p: Point, a: Point, b: Point) -> bool {
-    if a == b {
-        return p == a;
-    }
-    let cross = (b.x - a.x) * (p.y - a.y) - (b.y - a.y) * (p.x - a.x);
-    if cross != 0 {
+    let in_box = (a.x.min(b.x)..=a.x.max(b.x)).contains(&p.x)
+        && (a.y.min(b.y)..=a.y.max(b.y)).contains(&p.y);
+    if !in_box {
         return false;
     }
-    let dot = (p.x - a.x) * (b.x - a.x) + (p.y - a.y) * (b.y - a.y);
-    let len2 = (b.x - a.x) * (b.x - a.x) + (b.y - a.y) * (b.y - a.y);
-    dot >= 0 && dot <= len2
+    let d = |u: i64, v: i64| i128::from(u) - i128::from(v);
+    // Each difference is below 2^64 in magnitude, so each product of
+    // two magnitudes fits in a `u128`.
+    let product = |u: i128, v: i128| (u.signum() * v.signum(), u.unsigned_abs() * v.unsigned_abs());
+    product(d(b.x, a.x), d(p.y, a.y)) == product(d(b.y, a.y), d(p.x, a.x))
 }
 
 /// The kinds of connector objects a sheet may carry.
@@ -267,6 +272,89 @@ mod tests {
         assert!(point_on_segment(Point::new(5, 5), a, b));
         assert!(!point_on_segment(Point::new(5, 6), a, b));
         assert!(!point_on_segment(Point::new(11, 11), a, b));
+    }
+
+    /// The dot-product formulation `point_on_segment` used before it
+    /// became exact, evaluated in `i128` (exact for the small
+    /// coordinates it is compared on).
+    fn dot_product_reference(p: Point, a: Point, b: Point) -> bool {
+        if a == b {
+            return p == a;
+        }
+        let (px, py) = (i128::from(p.x), i128::from(p.y));
+        let (ax, ay, bx, by) = (
+            i128::from(a.x),
+            i128::from(a.y),
+            i128::from(b.x),
+            i128::from(b.y),
+        );
+        let cross = (bx - ax) * (py - ay) - (by - ay) * (px - ax);
+        let dot = (px - ax) * (bx - ax) + (py - ay) * (by - ay);
+        let len2 = (bx - ax) * (bx - ax) + (by - ay) * (by - ay);
+        cross == 0 && dot >= 0 && dot <= len2
+    }
+
+    #[test]
+    fn point_on_segment_agrees_with_the_dot_product_test() {
+        let grid = |r: i64| (-r..=r).flat_map(move |x| (-r..=r).map(move |y| Point::new(x, y)));
+        for a in grid(3) {
+            for b in grid(3) {
+                for p in grid(4) {
+                    assert_eq!(
+                        point_on_segment(p, a, b),
+                        dot_product_reference(p, a, b),
+                        "{p:?} on {a:?}-{b:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn point_on_segment_is_exact_at_the_i64_extremes() {
+        let (lo, hi) = (i64::MIN, i64::MAX);
+        let diag = (Point::new(lo, lo), Point::new(hi, hi));
+        assert!(point_on_segment(Point::new(0, 0), diag.0, diag.1));
+        assert!(point_on_segment(Point::new(lo, lo), diag.0, diag.1));
+        assert!(point_on_segment(Point::new(hi, hi), diag.0, diag.1));
+        assert!(!point_on_segment(Point::new(0, 1), diag.0, diag.1));
+        assert!(!point_on_segment(Point::new(hi, lo), diag.0, diag.1));
+        // The anti-diagonal x + y = -1 through both corners.
+        let anti = (Point::new(lo, hi), Point::new(hi, lo));
+        assert!(point_on_segment(Point::new(0, -1), anti.0, anti.1));
+        assert!(!point_on_segment(Point::new(0, 0), anti.0, anti.1));
+        // Slope just under 1: the two cross-product terms, each near
+        // 2^127, differ by only 2^63.
+        let shallow = (Point::new(lo, lo), Point::new(hi, hi - 1));
+        assert!(!point_on_segment(Point::new(0, 0), shallow.0, shallow.1));
+        assert!(point_on_segment(shallow.1, shallow.0, shallow.1));
+        // Full-width orthogonal segments and a degenerate one.
+        assert!(point_on_segment(
+            Point::new(7, 0),
+            Point::new(lo, 0),
+            Point::new(hi, 0)
+        ));
+        assert!(!point_on_segment(
+            Point::new(7, 1),
+            Point::new(lo, 0),
+            Point::new(hi, 0)
+        ));
+        assert!(point_on_segment(
+            Point::new(lo, 3),
+            Point::new(lo, hi),
+            Point::new(lo, lo)
+        ));
+        let corner = Point::new(lo, hi);
+        assert!(point_on_segment(corner, corner, corner));
+        assert!(!point_on_segment(Point::new(hi, lo), corner, corner));
+        // The hostile wire of the Viewstar reproduction.
+        let big = Point::new(4_000_000_000_000, 4_000_000_000_000);
+        assert!(point_on_segment(
+            Point::new(2_000_000_000_000, 2_000_000_000_000),
+            Point::new(0, 0),
+            big
+        ));
+        assert!(!point_on_segment(Point::new(16, 32), Point::new(0, 0), big));
     }
 
     #[test]

@@ -237,7 +237,7 @@ impl StableHash for Design {
 
 #[cfg(test)]
 mod tests {
-    use interop_core::hash::hash_of;
+    use interop_core::hash::{hash_of, stable_size, StableHash, StableHasher};
 
     use crate::gen::{generate, GenConfig};
 
@@ -277,6 +277,31 @@ mod tests {
             inst.props.set("CACHE_TEST", 1i64);
             assert_ne!(hash_of(&prop), h0, "properties are hashed");
         }
+    }
+
+    #[test]
+    fn size_estimate_is_the_hashers_byte_count() {
+        for cfg in [
+            GenConfig::default(),
+            GenConfig::builder()
+                .seed(7)
+                .gates_per_page(16)
+                .pages(4)
+                .bus_width(4)
+                .build()
+                .unwrap(),
+        ] {
+            let d = generate(&cfg);
+            let mut h = StableHasher::new();
+            d.stable_hash(&mut h);
+            assert_eq!(stable_size(&d), h.bytes_written());
+        }
+        // Digest and size of the default design, pinned so that a change
+        // to the design model's layout cannot move cache keys or cache
+        // byte accounting unnoticed.
+        let d = generate(&GenConfig::default());
+        assert_eq!(hash_of(&d), 0xd3fc_6ec3_51a0_b6b5);
+        assert_eq!(stable_size(&d), 14836);
     }
 
     #[test]
