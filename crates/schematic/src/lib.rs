@@ -34,6 +34,7 @@ pub mod cascade;
 pub mod connectivity;
 pub mod design;
 pub mod dialect;
+mod emit;
 pub mod gen;
 pub mod geom;
 pub mod netlist;

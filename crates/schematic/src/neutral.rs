@@ -428,10 +428,12 @@ pub fn import(text: &str, target: DialectId) -> Result<Design, ParseNeutralError
                 let sheet = cur_sheet
                     .as_mut()
                     .ok_or_else(|| err(line, "WIRE outside PAGE".into()))?;
-                let n = int(line, &toks[1])? as usize;
-                if n < 2 || toks.len() < 2 + 2 * n {
-                    return Err(err(line, "WIRE needs at least 2 points".into()));
-                }
+                // The point list is sized only once the record is known
+                // to hold that many coordinates.
+                let n = usize::try_from(int(line, &toks[1])?)
+                    .ok()
+                    .filter(|&n| n >= 2 && n.checked_mul(2).is_some_and(|k| k <= toks.len() - 2))
+                    .ok_or_else(|| err(line, "WIRE needs at least 2 points".into()))?;
                 let mut pts = Vec::with_capacity(n);
                 for k in 0..n {
                     pts.push(Point::new(

@@ -6,8 +6,8 @@
 
 use std::fmt;
 
-/// A 1-based position in the source text. `column` is 1 when the
-/// format only tracks line granularity.
+/// A 1-based position in the source text. `column` counts characters,
+/// not bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SourcePos {
     /// 1-based line number.
@@ -56,9 +56,19 @@ impl ParseError {
         }
     }
 
-    /// An error known to line granularity only.
-    pub fn at_line(format: &'static str, message: impl Into<String>, line: usize) -> Self {
-        ParseError::at(format, message, line, 1)
+    /// An error at byte `offset` of `text`. The line and column are
+    /// counted here, so a reader pays for them only when it fails.
+    pub(crate) fn at_offset(
+        format: &'static str,
+        message: impl Into<String>,
+        text: &str,
+        offset: usize,
+    ) -> Self {
+        let before = &text[..offset];
+        let line_start = before.rfind('\n').map_or(0, |i| i + 1);
+        let line = before.bytes().filter(|&b| b == b'\n').count() + 1;
+        let column = before[line_start..].chars().count() + 1;
+        ParseError::at(format, message, line, column)
     }
 
     /// The 1-based line, when known.
@@ -81,6 +91,20 @@ impl fmt::Display for ParseError {
 }
 
 impl std::error::Error for ParseError {}
+
+/// The byte length of the character at byte `i` of `text` (a character
+/// boundary before the end), and whether it is whitespace in the sense
+/// of `char::is_whitespace`. ASCII is classified without decoding.
+pub(crate) fn char_at(text: &str, i: usize) -> (usize, bool) {
+    let b = text.as_bytes()[i];
+    if b < 0x80 {
+        return (1, matches!(b, b'\t'..=b'\r' | b' '));
+    }
+    match text[i..].chars().next() {
+        Some(c) => (c.len_utf8(), c.is_whitespace()),
+        None => (1, false),
+    }
+}
 
 /// Runs a dialect parser under a `schematic.parse` span: dialect, byte
 /// count, and (on success) design-size attributes, a
@@ -130,6 +154,25 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn offsets_become_lines_and_character_columns() {
+        let text = "ab\n\u{e9}x(\n";
+        let e = ParseError::at_offset("cascade", "m", text, text.find('(').unwrap());
+        assert_eq!(e.pos, Some(SourcePos { line: 2, column: 3 }));
+        let e = ParseError::at_offset("cascade", "m", text, 0);
+        assert_eq!(e.pos, Some(SourcePos { line: 1, column: 1 }));
+    }
+
+    #[test]
+    fn whitespace_matches_char_is_whitespace() {
+        for c in [
+            '\t', '\n', '\u{b}', '\u{c}', '\r', ' ', '\u{a0}', '\u{3000}', 'a', '\u{1c}', '\u{e9}',
+        ] {
+            let s = c.to_string();
+            assert_eq!(char_at(&s, 0), (c.len_utf8(), c.is_whitespace()), "{c:?}");
+        }
+    }
 
     #[test]
     fn display_includes_position_when_known() {

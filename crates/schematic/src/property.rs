@@ -27,11 +27,22 @@ pub enum PropValue {
 impl PropValue {
     /// Renders the value the way both dialect writers print it.
     pub fn to_text(&self) -> String {
+        let mut out = String::new();
+        self.push_text(&mut out);
+        out
+    }
+
+    /// Appends [`Self::to_text`] to `out`. Only a `Text` value can be
+    /// empty or hold a space, quote, backslash or newline.
+    pub(crate) fn push_text(&self, out: &mut String) {
         match self {
-            PropValue::Text(s) => s.clone(),
-            PropValue::Int(i) => i.to_string(),
-            PropValue::Real(r) => format!("{r}"),
-            PropValue::Flag(b) => if *b { "true" } else { "false" }.to_string(),
+            PropValue::Text(s) => out.push_str(s),
+            PropValue::Int(i) => crate::emit::push_int(out, *i),
+            PropValue::Real(r) => {
+                use std::fmt::Write;
+                let _ = write!(out, "{r}");
+            }
+            PropValue::Flag(b) => out.push_str(if *b { "true" } else { "false" }),
         }
     }
 

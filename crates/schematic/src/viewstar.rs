@@ -25,121 +25,163 @@
 //! END
 //! ```
 
+use std::borrow::Cow;
+
 use crate::design::{CellSchematic, Design, Library};
 use crate::dialect::DialectId;
+use crate::emit::{push_int, push_ints};
 use crate::geom::{Orient, Point};
-use crate::parse::ParseError;
+use crate::parse::{char_at, ParseError};
 use crate::property::{FontMetrics, Label, PropValue};
 use crate::sheet::{Connector, ConnectorKind, Instance, Sheet, Wire};
 use crate::symbol::{PinDir, SymbolDef, SymbolPin, SymbolRef};
 
-/// Former Viewstar-specific error type, now the shared [`ParseError`].
-#[deprecated(note = "use `schematic::ParseError`")]
-pub type ParseViewstarError = ParseError;
+/// Appends `s`, quoted when it is empty or holds a space or quote, with
+/// `""` for an embedded quote.
+fn push_quoted(out: &mut String, s: &str) {
+    if !s.is_empty() && !s.bytes().any(|b| b == b' ' || b == b'"') {
+        out.push_str(s);
+        return;
+    }
+    out.push('"');
+    for (k, part) in s.split('"').enumerate() {
+        if k > 0 {
+            out.push_str("\"\"");
+        }
+        out.push_str(part);
+    }
+    out.push('"');
+}
 
+#[cfg(test)]
 fn quote(s: &str) -> String {
-    if s.is_empty() || s.contains(' ') || s.contains('"') {
-        format!("\"{}\"", s.replace('"', "\"\""))
-    } else {
-        s.to_string()
+    let mut out = String::new();
+    push_quoted(&mut out, s);
+    out
+}
+
+/// Appends `keyword` and the quoted `fields`, each after a space.
+fn push_record(out: &mut String, keyword: &str, fields: &[&str]) {
+    out.push_str(keyword);
+    for f in fields {
+        out.push(' ');
+        push_quoted(out, f);
+    }
+}
+
+/// Appends ` name x y dir` of a pin or port line, then the newline.
+fn push_pin(out: &mut String, keyword: &str, p: &SymbolPin) {
+    push_record(out, keyword, &[&p.name]);
+    push_ints(out, &[p.at.x, p.at.y]);
+    out.push(' ');
+    out.push_str(p.dir.keyword());
+    out.push('\n');
+}
+
+/// Appends a property value; only a `Text` value can need quoting.
+fn push_value(out: &mut String, v: &PropValue) {
+    match v {
+        PropValue::Text(s) => push_quoted(out, s),
+        _ => v.push_text(out),
     }
 }
 
 /// Serializes a design to Viewstar text.
 pub fn write(design: &Design) -> String {
-    let mut out = String::new();
+    let mut out = String::with_capacity(4096);
     out.push_str("VIEWSTAR 1\n");
-    out.push_str(&format!("DESIGN {}\n", quote(&design.name)));
-    out.push_str(&format!("TOP {}\n", quote(&design.top)));
+    push_record(&mut out, "DESIGN", &[&design.name]);
+    out.push('\n');
+    push_record(&mut out, "TOP", &[&design.top]);
+    out.push('\n');
     for g in design.globals() {
-        out.push_str(&format!("GLOBAL {}\n", quote(g)));
+        push_record(&mut out, "GLOBAL", &[g]);
+        out.push('\n');
     }
     for lib in design.libraries() {
-        out.push_str(&format!("LIBRARY {}\n", quote(&lib.name)));
+        push_record(&mut out, "LIBRARY", &[&lib.name]);
+        out.push('\n');
         for sym in lib.iter() {
-            out.push_str(&format!(
-                "SYMBOL {} {} GRID {}\n",
-                quote(&sym.reference.cell),
-                quote(&sym.reference.view),
-                sym.grid
-            ));
+            push_record(
+                &mut out,
+                "SYMBOL",
+                &[&sym.reference.cell, &sym.reference.view],
+            );
+            out.push_str(" GRID ");
+            push_int(&mut out, sym.grid);
+            out.push('\n');
             for pin in &sym.pins {
-                out.push_str(&format!(
-                    "PIN {} {} {} {}\n",
-                    quote(&pin.name),
-                    pin.at.x,
-                    pin.at.y,
-                    pin.dir.keyword()
-                ));
+                push_pin(&mut out, "PIN", pin);
             }
             for (a, b) in &sym.body {
-                out.push_str(&format!("BODY {} {} {} {}\n", a.x, a.y, b.x, b.y));
+                out.push_str("BODY");
+                push_ints(&mut out, &[a.x, a.y, b.x, b.y]);
+                out.push('\n');
             }
             for (k, v) in sym.default_props.iter() {
-                out.push_str(&format!("SPROP {} {}\n", quote(k), quote(&v.to_text())));
+                push_record(&mut out, "SPROP", &[k]);
+                out.push(' ');
+                push_value(&mut out, v);
+                out.push('\n');
             }
             out.push_str("ENDSYMBOL\n");
         }
         out.push_str("ENDLIBRARY\n");
     }
     for (name, cell) in design.cells() {
-        out.push_str(&format!("CELL {}\n", quote(name)));
+        push_record(&mut out, "CELL", &[name]);
+        out.push('\n');
         for b in &cell.buses {
-            out.push_str(&format!("BUS {}\n", quote(b)));
+            push_record(&mut out, "BUS", &[b]);
+            out.push('\n');
         }
         for p in &cell.ports {
-            out.push_str(&format!(
-                "PORT {} {} {} {}\n",
-                quote(&p.name),
-                p.at.x,
-                p.at.y,
-                p.dir.keyword()
-            ));
+            push_pin(&mut out, "PORT", p);
         }
         for sheet in &cell.sheets {
-            out.push_str(&format!("PAGE {}\n", sheet.page));
+            out.push_str("PAGE ");
+            push_int(&mut out, i64::from(sheet.page));
+            out.push('\n');
             for inst in &sheet.instances {
-                out.push_str(&format!(
-                    "I {} {} {} {} {} {} {}\n",
-                    quote(&inst.name),
-                    quote(&inst.symbol.library),
-                    quote(&inst.symbol.cell),
-                    quote(&inst.symbol.view),
-                    inst.place.origin.x,
-                    inst.place.origin.y,
-                    inst.place.orient.code()
-                ));
+                let s = &inst.symbol;
+                push_record(&mut out, "I", &[&inst.name, &s.library, &s.cell, &s.view]);
+                push_ints(&mut out, &[inst.place.origin.x, inst.place.origin.y]);
+                out.push(' ');
+                out.push_str(inst.place.orient.code());
+                out.push('\n');
                 for (k, v) in inst.props.iter() {
-                    out.push_str(&format!(
-                        "IPROP {} {} {}\n",
-                        quote(&inst.name),
-                        quote(k),
-                        quote(&v.to_text())
-                    ));
+                    push_record(&mut out, "IPROP", &[&inst.name, k]);
+                    out.push(' ');
+                    push_value(&mut out, v);
+                    out.push('\n');
                 }
             }
             for wire in &sheet.wires {
-                out.push_str(&format!("W {}", wire.points.len()));
+                out.push_str("W ");
+                push_int(&mut out, wire.points.len() as i64);
                 for p in &wire.points {
-                    out.push_str(&format!(" {} {}", p.x, p.y));
+                    push_ints(&mut out, &[p.x, p.y]);
                 }
                 if let Some(l) = &wire.label {
-                    out.push_str(&format!(" LABEL {} {} {}", quote(&l.text), l.at.x, l.at.y));
+                    push_record(&mut out, " LABEL", &[&l.text]);
+                    push_ints(&mut out, &[l.at.x, l.at.y]);
                 }
                 out.push('\n');
             }
             for c in &sheet.connectors {
-                out.push_str(&format!(
-                    "C {} {} {} {} {}\n",
-                    c.kind.keyword(),
-                    quote(&c.name),
-                    c.at.x,
-                    c.at.y,
-                    c.orient.code()
-                ));
+                out.push_str("C ");
+                out.push_str(c.kind.keyword());
+                out.push(' ');
+                push_quoted(&mut out, &c.name);
+                push_ints(&mut out, &[c.at.x, c.at.y]);
+                out.push(' ');
+                out.push_str(c.orient.code());
+                out.push('\n');
             }
             for t in &sheet.annotations {
-                out.push_str(&format!("T {} {} {}\n", quote(&t.text), t.at.x, t.at.y));
+                push_record(&mut out, "T", &[&t.text]);
+                push_ints(&mut out, &[t.at.x, t.at.y]);
+                out.push('\n');
             }
             out.push_str("ENDPAGE\n");
         }
@@ -149,77 +191,143 @@ pub fn write(design: &Design) -> String {
     out
 }
 
-/// Splits a Viewstar line into tokens, honouring `"..."` quoting with
-/// `""` as the embedded-quote escape.
-fn tokenize(line: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut chars = line.chars().peekable();
-    while let Some(&c) = chars.peek() {
-        if c.is_whitespace() {
-            chars.next();
-        } else if c == '"' {
-            chars.next();
-            let mut tok = String::new();
-            loop {
-                match chars.next() {
-                    Some('"') => {
-                        if chars.peek() == Some(&'"') {
-                            chars.next();
-                            tok.push('"');
-                        } else {
-                            break;
-                        }
-                    }
-                    Some(ch) => tok.push(ch),
-                    None => break,
-                }
-            }
-            out.push(tok);
-        } else {
-            let mut tok = String::new();
-            while let Some(&ch) = chars.peek() {
-                if ch.is_whitespace() {
-                    break;
-                }
-                tok.push(ch);
-                chars.next();
-            }
-            out.push(tok);
-        }
-    }
-    out
+/// One token of a line: a slice of it, read in place.
+#[derive(Debug, Clone, Copy)]
+struct Tok<'a> {
+    /// The token, without its quotes when quoted.
+    raw: &'a str,
+    /// Quoted with a `""` escape inside, so `raw` must be decoded.
+    escaped: bool,
+    /// Byte offset in the line, of the opening quote when quoted.
+    at: usize,
 }
 
-struct Cursor<'a> {
-    toks: &'a [String],
-    line: usize,
+impl<'a> Tok<'a> {
+    fn value(&self) -> Cow<'a, str> {
+        if self.escaped {
+            Cow::Owned(self.raw.replace("\"\"", "\""))
+        } else {
+            Cow::Borrowed(self.raw)
+        }
+    }
+}
+
+/// Splits a Viewstar line into `out`, honouring `"..."` quoting with
+/// `""` as the embedded-quote escape. A quoted token ends at its lone
+/// closing quote or at the end of the line.
+fn tokenize_into<'a>(line: &'a str, out: &mut Vec<Tok<'a>>) {
+    out.clear();
+    let bytes = line.as_bytes();
+    let mut i = 0;
+    while i < bytes.len() {
+        if bytes[i] == b'"' {
+            let at = i;
+            let mut escaped = false;
+            let mut end = at + 1;
+            loop {
+                match bytes[end..].iter().position(|&b| b == b'"') {
+                    Some(n) if bytes.get(end + n + 1) == Some(&b'"') => {
+                        escaped = true;
+                        end += n + 2;
+                    }
+                    Some(n) => {
+                        end += n;
+                        break;
+                    }
+                    None => {
+                        end = bytes.len();
+                        break;
+                    }
+                }
+            }
+            out.push(Tok {
+                raw: &line[at + 1..end],
+                escaped,
+                at,
+            });
+            i = end + 1;
+            continue;
+        }
+        let (len, space) = char_at(line, i);
+        if space {
+            i += len;
+            continue;
+        }
+        let at = i;
+        i += len;
+        while i < bytes.len() {
+            let (len, space) = char_at(line, i);
+            if space {
+                break;
+            }
+            i += len;
+        }
+        out.push(Tok {
+            raw: &line[at..i],
+            escaped: false,
+            at,
+        });
+    }
+}
+
+#[cfg(test)]
+fn tokenize(line: &str) -> Vec<Cow<'_, str>> {
+    let mut toks = Vec::new();
+    tokenize_into(line, &mut toks);
+    toks.iter().map(Tok::value).collect()
+}
+
+/// The fields of one record line, read left to right. Errors sit at
+/// the last token read, or just past the end of the line.
+struct Cursor<'t, 'a> {
+    text: &'a str,
+    line: &'a str,
+    toks: &'t [Tok<'a>],
     idx: usize,
 }
 
-impl<'a> Cursor<'a> {
-    fn err(&self, msg: impl Into<String>) -> ParseError {
-        ParseError::at_line("viewstar", msg, self.line)
+impl<'t, 'a> Cursor<'t, 'a> {
+    /// An error at byte `at` of the line.
+    fn err_at(&self, at: usize, msg: impl Into<String>) -> ParseError {
+        // `line` is a slice of `text`.
+        let offset = self.line.as_ptr() as usize - self.text.as_ptr() as usize + at;
+        ParseError::at_offset("viewstar", msg, self.text, offset)
     }
-    fn next(&mut self) -> Result<&'a str, ParseError> {
+    fn err(&self, msg: impl Into<String>) -> ParseError {
+        self.err_at(self.toks[self.idx.saturating_sub(1)].at, msg)
+    }
+    fn remaining(&self) -> usize {
+        self.toks.len() - self.idx
+    }
+    fn next(&mut self) -> Result<Cow<'a, str>, ParseError> {
         let t = self
             .toks
             .get(self.idx)
-            .ok_or_else(|| self.err("unexpected end of line"))?;
+            .ok_or_else(|| self.err_at(self.line.len(), "unexpected end of line"))?;
         self.idx += 1;
-        Ok(t)
+        Ok(t.value())
     }
     fn int(&mut self) -> Result<i64, ParseError> {
         let t = self.next()?;
         t.parse::<i64>()
             .map_err(|_| self.err(format!("expected integer, got `{t}`")))
     }
+    fn point(&mut self) -> Result<Point, ParseError> {
+        Ok(Point::new(self.int()?, self.int()?))
+    }
     fn orient(&mut self) -> Result<Orient, ParseError> {
         let t = self.next()?;
-        Orient::parse(t).ok_or_else(|| self.err(format!("bad orientation `{t}`")))
+        Orient::parse(&t).ok_or_else(|| self.err(format!("bad orientation `{t}`")))
     }
     fn dir(&mut self) -> Result<PinDir, ParseError> {
         let t = self.next()?;
-        PinDir::parse(t).ok_or_else(|| self.err(format!("bad pin direction `{t}`")))
+        PinDir::parse(&t).ok_or_else(|| self.err(format!("bad pin direction `{t}`")))
+    }
+    /// A `name x y dir` pin or port.
+    fn pin(&mut self) -> Result<SymbolPin, ParseError> {
+        let name = self.next()?;
+        let at = self.point()?;
+        Ok(SymbolPin::new(&*name, at, self.dir()?))
     }
 }
 
@@ -227,7 +335,7 @@ impl<'a> Cursor<'a> {
 ///
 /// # Errors
 ///
-/// Returns the first syntax error with its line number.
+/// Returns the first syntax error with its line and column.
 pub fn parse(text: &str) -> Result<Design, ParseError> {
     parse_inner(text)
 }
@@ -239,7 +347,7 @@ pub fn parse(text: &str) -> Result<Design, ParseError> {
 ///
 /// # Errors
 ///
-/// Returns the first syntax error with its line number.
+/// Returns the first syntax error with its line and column.
 pub fn parse_recorded(text: &str, recorder: &dyn obs::Recorder) -> Result<Design, ParseError> {
     crate::parse::traced_parse(text, "viewstar", recorder, parse_inner)
 }
@@ -252,24 +360,29 @@ fn parse_inner(text: &str) -> Result<Design, ParseError> {
     let mut cur_sheet: Option<Sheet> = None;
     let mut top = String::new();
     let font = FontMetrics::VIEWSTAR;
+    let mut toks = Vec::new();
 
-    for (lineno, raw) in text.lines().enumerate() {
-        let line = lineno + 1;
-        let toks = tokenize(raw);
-        if toks.is_empty() || toks[0].starts_with(';') {
+    for line in text.lines() {
+        tokenize_into(line, &mut toks);
+        let Some(first) = toks.first() else {
+            continue;
+        };
+        let keyword = first.value();
+        if keyword.starts_with(';') {
             continue;
         }
         let mut c = Cursor {
-            toks: &toks,
+            text,
             line,
+            toks: &toks,
             idx: 1,
         };
-        match toks[0].as_str() {
+        match &*keyword {
             "VIEWSTAR" | "END" => {}
-            "DESIGN" => design.name = c.next()?.to_string(),
-            "TOP" => top = c.next()?.to_string(),
-            "GLOBAL" => design.add_global(c.next()?),
-            "LIBRARY" => cur_lib = Some(Library::new(c.next()?)),
+            "DESIGN" => design.name = c.next()?.into_owned(),
+            "TOP" => top = c.next()?.into_owned(),
+            "GLOBAL" => design.add_global(&*c.next()?),
+            "LIBRARY" => cur_lib = Some(Library::new(&*c.next()?)),
             "ENDLIBRARY" => {
                 let lib = cur_lib
                     .take()
@@ -282,13 +395,12 @@ fn parse_inner(text: &str) -> Result<Design, ParseError> {
                     .ok_or_else(|| c.err("SYMBOL outside LIBRARY"))?;
                 let cell = c.next()?;
                 let view = c.next()?;
-                let kw = c.next()?;
-                if kw != "GRID" {
+                if c.next()? != "GRID" {
                     return Err(c.err("expected GRID"));
                 }
                 let grid = c.int()?;
                 cur_sym = Some(SymbolDef::new(
-                    SymbolRef::new(lib.name.clone(), cell, view),
+                    SymbolRef::new(lib.name.clone(), &*cell, &*view),
                     grid,
                 ));
             }
@@ -305,18 +417,14 @@ fn parse_inner(text: &str) -> Result<Design, ParseError> {
                 let sym = cur_sym
                     .as_mut()
                     .ok_or_else(|| c.err("PIN outside SYMBOL"))?;
-                let name = c.next()?;
-                let (x, y) = (c.int()?, c.int()?);
-                let dir = c.dir()?;
-                sym.pins.push(SymbolPin::new(name, Point::new(x, y), dir));
+                sym.pins.push(c.pin()?);
             }
             "BODY" => {
                 let sym = cur_sym
                     .as_mut()
                     .ok_or_else(|| c.err("BODY outside SYMBOL"))?;
-                let a = Point::new(c.int()?, c.int()?);
-                let b = Point::new(c.int()?, c.int()?);
-                sym.body.push((a, b));
+                let a = c.point()?;
+                sym.body.push((a, c.point()?));
             }
             "SPROP" => {
                 let sym = cur_sym
@@ -324,7 +432,7 @@ fn parse_inner(text: &str) -> Result<Design, ParseError> {
                     .ok_or_else(|| c.err("SPROP outside SYMBOL"))?;
                 let k = c.next()?;
                 let v = c.next()?;
-                sym.default_props.set(k, PropValue::from_text(v));
+                sym.default_props.set(&*k, PropValue::from_text(&v));
             }
             "CELL" => cur_cell = Some(CellSchematic::new(c.next()?)),
             "ENDCELL" => {
@@ -338,16 +446,13 @@ fn parse_inner(text: &str) -> Result<Design, ParseError> {
                     .as_mut()
                     .ok_or_else(|| c.err("BUS outside CELL"))?
                     .buses
-                    .insert(c.next()?.into());
+                    .insert((&*c.next()?).into());
             }
             "PORT" => {
                 let cell = cur_cell
                     .as_mut()
                     .ok_or_else(|| c.err("PORT outside CELL"))?;
-                let name = c.next()?;
-                let (x, y) = (c.int()?, c.int()?);
-                let dir = c.dir()?;
-                cell.ports.push(SymbolPin::new(name, Point::new(x, y), dir));
+                cell.ports.push(c.pin()?);
             }
             "PAGE" => {
                 let page = c.int()? as u32;
@@ -369,12 +474,12 @@ fn parse_inner(text: &str) -> Result<Design, ParseError> {
                 let lib = c.next()?;
                 let cell = c.next()?;
                 let view = c.next()?;
-                let (x, y) = (c.int()?, c.int()?);
+                let at = c.point()?;
                 let o = c.orient()?;
                 sheet.instances.push(Instance::new(
-                    name,
-                    SymbolRef::new(lib, cell, view),
-                    Point::new(x, y),
+                    &*name,
+                    SymbolRef::new(&*lib, &*cell, &*view),
+                    at,
                     o,
                 ));
             }
@@ -388,59 +493,56 @@ fn parse_inner(text: &str) -> Result<Design, ParseError> {
                 let target = sheet
                     .instances
                     .iter_mut()
-                    .find(|i| i.name == inst)
+                    .find(|i| *i.name == *inst)
                     .ok_or_else(|| c.err(format!("IPROP for unknown instance `{inst}`")))?;
-                target.props.set(k, PropValue::from_text(v));
+                target.props.set(&*k, PropValue::from_text(&v));
             }
             "W" => {
                 let sheet = cur_sheet.as_mut().ok_or_else(|| c.err("W outside PAGE"))?;
-                let n = c.int()? as usize;
+                let n = c.int()?;
                 if n < 2 {
                     return Err(c.err("wire needs at least 2 points"));
                 }
+                // The point list is sized only once the line is known
+                // to hold that many coordinates.
+                let n = usize::try_from(n)
+                    .ok()
+                    .filter(|n| n.checked_mul(2).is_some_and(|k| k <= c.remaining()))
+                    .ok_or_else(|| c.err(format!("wire of {n} points is missing coordinates")))?;
                 let mut pts = Vec::with_capacity(n);
                 for _ in 0..n {
-                    pts.push(Point::new(c.int()?, c.int()?));
+                    pts.push(c.point()?);
                 }
                 let mut wire = Wire::new(pts);
-                if c.idx < toks.len() {
+                if c.remaining() > 0 {
                     let kw = c.next()?;
                     if kw != "LABEL" {
                         return Err(c.err(format!("expected LABEL, got `{kw}`")));
                     }
                     let text = c.next()?;
-                    let (x, y) = (c.int()?, c.int()?);
-                    wire = wire.with_label(Label::new(text, Point::new(x, y), font));
+                    let at = c.point()?;
+                    wire = wire.with_label(Label::new(&*text, at, font));
                 }
                 sheet.wires.push(wire);
             }
             "C" => {
                 let sheet = cur_sheet.as_mut().ok_or_else(|| c.err("C outside PAGE"))?;
                 let kw = c.next()?;
-                let kind = ConnectorKind::parse(kw)
+                let kind = ConnectorKind::parse(&kw)
                     .ok_or_else(|| c.err(format!("bad connector kind `{kw}`")))?;
                 let name = c.next()?;
-                let (x, y) = (c.int()?, c.int()?);
-                let o = c.orient()?;
-                let mut conn = Connector::new(kind, name, Point::new(x, y));
-                conn.orient = o;
+                let at = c.point()?;
+                let mut conn = Connector::new(kind, &*name, at);
+                conn.orient = c.orient()?;
                 sheet.connectors.push(conn);
             }
             "T" => {
                 let sheet = cur_sheet.as_mut().ok_or_else(|| c.err("T outside PAGE"))?;
                 let text = c.next()?;
-                let (x, y) = (c.int()?, c.int()?);
-                sheet
-                    .annotations
-                    .push(Label::new(text, Point::new(x, y), font));
+                let at = c.point()?;
+                sheet.annotations.push(Label::new(&*text, at, font));
             }
-            other => {
-                return Err(ParseError::at_line(
-                    "viewstar",
-                    format!("unknown record `{other}`"),
-                    line,
-                ))
-            }
+            other => return Err(c.err(format!("unknown record `{other}`"))),
         }
     }
     if !top.is_empty() {
@@ -514,6 +616,14 @@ mod tests {
         assert_eq!(quote("two words"), "\"two words\"");
         assert_eq!(quote("say \"hi\""), "\"say \"\"hi\"\"\"");
         assert_eq!(tokenize("\"say \"\"hi\"\"\" x"), vec!["say \"hi\"", "x"]);
+    }
+
+    #[test]
+    fn non_ascii_whitespace_separates_tokens() {
+        assert_eq!(
+            tokenize("W\u{a0}2 \u{e9}x\u{3000}\"a \"\"b\" \"open"),
+            vec!["W", "2", "\u{e9}x", "a \"b", "open"]
+        );
     }
 
     #[test]
