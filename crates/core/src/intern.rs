@@ -4,38 +4,41 @@
 //! A batch migration re-reads the same library, cell, pin, net, and
 //! property names thousands of times — `VDD`, `CLK`, `refdes`,
 //! `stdcell/nand2` — and with plain `String` fields every design pays
-//! a fresh heap allocation per occurrence. [`IStr`] is a shared,
-//! immutable handle (`Arc<str>`) deduplicated through a global sharded
-//! intern table: the first occurrence allocates, every later
-//! occurrence is a table lookup plus a reference-count bump.
+//! a fresh heap allocation per occurrence. [`IStr`] is a `Copy` handle
+//! to a string that lives for the whole process, deduplicated through
+//! a global sharded intern table: the first occurrence allocates (and
+//! leaks) the string once, every later occurrence is a table lookup.
+//! Copying or dropping a handle touches no shared memory, so threads
+//! that pass the same common names around never contend on them.
 //!
 //! Design points:
 //!
 //! * **Order and equality are by content**, so swapping `String` for
 //!   `IStr` inside `BTreeMap`/`BTreeSet` keys changes neither iteration
 //!   order nor any emitted byte. Equality takes the pointer fast path
-//!   first — two interned handles with equal content share one
-//!   allocation.
+//!   first — two interned handles with equal content point at one
+//!   string.
 //! * **`Borrow<str>`** lets ordered maps keyed by `IStr` keep their
 //!   `get(&str)` lookups; `Deref<Target = str>` keeps most call sites
 //!   compiling untouched.
-//! * The table is append-only for the process lifetime (names are tiny
-//!   and heavily reused; eviction would cost more bookkeeping than it
-//!   frees). [`stats`] exposes its size for observability.
+//! * The table is append-only for the process lifetime: names are tiny
+//!   and heavily reused, and a string that is never freed needs no
+//!   reference count. [`stats`] exposes the table's size so the memory
+//!   it holds can be recorded as a gauge.
 
 use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::collections::HashSet;
 use std::fmt;
 use std::ops::Deref;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock};
 
 use crate::hash::{FNV_OFFSET, FNV_PRIME};
 
 const SHARDS: usize = 16;
 
 struct InternTable {
-    shards: [Mutex<HashSet<Arc<str>>>; SHARDS],
+    shards: [Mutex<HashSet<&'static str>>; SHARDS],
 }
 
 fn table() -> &'static InternTable {
@@ -54,16 +57,17 @@ fn shard_of(s: &str) -> usize {
     (h as usize) % SHARDS
 }
 
-/// Returns the shared handle for `s`, interning it on first sight.
+/// Returns the handle for `s`, interning it on first sight. A new
+/// string is leaked once and lives for the rest of the process.
 pub fn intern(s: &str) -> IStr {
     let shard = &table().shards[shard_of(s)];
     let mut set = shard.lock().unwrap_or_else(|p| p.into_inner());
-    if let Some(existing) = set.get(s) {
-        return IStr(Arc::clone(existing));
+    if let Some(&existing) = set.get(s) {
+        return IStr(existing);
     }
-    let arc: Arc<str> = Arc::from(s);
-    set.insert(Arc::clone(&arc));
-    IStr(arc)
+    let leaked: &'static str = Box::leak(Box::from(s));
+    set.insert(leaked);
+    IStr(leaked)
 }
 
 /// Intern-table occupancy: `(distinct strings, total content bytes)`.
@@ -78,21 +82,22 @@ pub fn stats() -> (usize, usize) {
     (count, bytes)
 }
 
-/// An interned, immutable string handle. Cheap to clone (one atomic
-/// increment), content-ordered, and transparently usable as `&str`.
-#[derive(Clone)]
-pub struct IStr(Arc<str>);
+/// An interned, immutable string handle: a `Copy` pointer to a string
+/// that lives for the whole process, content-ordered, and transparently
+/// usable as `&str`.
+#[derive(Clone, Copy)]
+pub struct IStr(&'static str);
 
 impl IStr {
     /// The underlying string slice.
-    pub fn as_str(&self) -> &str {
-        &self.0
+    pub fn as_str(&self) -> &'static str {
+        self.0
     }
 
-    /// True when both handles share one allocation — the common case
-    /// for equal interned strings.
+    /// True when both handles point at one string — always the case for
+    /// equal interned strings.
     pub fn ptr_eq(a: &IStr, b: &IStr) -> bool {
-        Arc::ptr_eq(&a.0, &b.0)
+        std::ptr::eq(a.0, b.0)
     }
 }
 
@@ -105,19 +110,19 @@ impl Default for IStr {
 impl Deref for IStr {
     type Target = str;
     fn deref(&self) -> &str {
-        &self.0
+        self.0
     }
 }
 
 impl AsRef<str> for IStr {
     fn as_ref(&self) -> &str {
-        &self.0
+        self.0
     }
 }
 
 impl Borrow<str> for IStr {
     fn borrow(&self) -> &str {
-        &self.0
+        self.0
     }
 }
 
@@ -140,7 +145,7 @@ impl Ord for IStr {
         if IStr::ptr_eq(self, other) {
             Ordering::Equal
         } else {
-            self.0.cmp(&other.0)
+            self.0.cmp(other.0)
         }
     }
 }
@@ -148,19 +153,19 @@ impl Ord for IStr {
 impl std::hash::Hash for IStr {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
         // Must agree with `str`'s Hash for Borrow-keyed map lookups.
-        (*self.0).hash(state);
+        self.0.hash(state);
     }
 }
 
 impl fmt::Display for IStr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Display::fmt(&self.0, f)
+        fmt::Display::fmt(self.0, f)
     }
 }
 
 impl fmt::Debug for IStr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(&self.0, f)
+        fmt::Debug::fmt(self.0, f)
     }
 }
 
@@ -184,7 +189,7 @@ impl From<String> for IStr {
 
 impl From<&IStr> for IStr {
     fn from(s: &IStr) -> Self {
-        s.clone()
+        *s
     }
 }
 
@@ -239,7 +244,7 @@ impl PartialEq<IStr> for String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeMap;
+    use std::collections::{BTreeMap, BTreeSet};
 
     #[test]
     fn equal_content_shares_one_allocation() {
@@ -254,12 +259,29 @@ mod tests {
 
     #[test]
     fn ordering_matches_str_ordering() {
-        let mut names = [intern("z"), intern("a<3>"), intern("a<10>"), intern("A")];
+        let raw = [
+            "z", "a<3>", "a<10>", "A", "a", "D<0>", "D<15:0>", "d<2>", "VDD", "vdd!", "_n1", "A0",
+        ];
+        let mut names: Vec<IStr> = raw.iter().map(|s| intern(s)).collect();
         names.sort();
-        let raw: Vec<&str> = names.iter().map(|s| s.as_str()).collect();
-        let mut expect = vec!["z", "a<3>", "a<10>", "A"];
+        let mut expect = raw.to_vec();
         expect.sort();
-        assert_eq!(raw, expect);
+        let sorted: Vec<&str> = names.iter().map(|s| s.as_str()).collect();
+        assert_eq!(sorted, expect);
+        let set: BTreeSet<IStr> = raw.iter().map(|s| intern(s)).collect();
+        let iterated: Vec<&str> = set.iter().map(|s| s.as_str()).collect();
+        assert_eq!(iterated, expect);
+    }
+
+    #[test]
+    fn handles_outlive_the_thread_that_interned_them() {
+        let text = "interned_on_an_exited_thread";
+        let handle = std::thread::spawn(move || intern(text))
+            .join()
+            .expect("interning thread");
+        let s: &'static str = handle.as_str();
+        assert_eq!(s, text);
+        assert!(IStr::ptr_eq(&handle, &intern(text)));
     }
 
     #[test]

@@ -428,6 +428,12 @@ pub fn migrate_batch(
         },
     );
 
+    // Interned names live for the whole process, so the intern table
+    // only grows: one reading per batch shows how far.
+    let (strings, bytes) = interop_core::intern::stats();
+    recorder.record_value("interop_core.intern.strings", strings as u64);
+    recorder.record_value("interop_core.intern.bytes", bytes as u64);
+
     let mut report = BatchReport::default();
     for result in &results {
         match result {
@@ -542,6 +548,23 @@ mod tests {
                 "stage {} should run once per design",
                 id.name()
             );
+        }
+    }
+
+    #[test]
+    fn batch_records_the_intern_table_size() {
+        let recorder = MemoryRecorder::new();
+        migrate_batch(
+            &Migrator::default(),
+            &designs(2),
+            DialectId::Cascade,
+            &BatchConfig::with_threads(1),
+            &recorder,
+        );
+        for name in ["interop_core.intern.strings", "interop_core.intern.bytes"] {
+            let gauge = recorder.histogram(name).expect("gauge recorded");
+            assert_eq!(gauge.count, 1, "{name}: one reading per batch");
+            assert!(gauge.max > 0, "{name}: the batch interned names");
         }
     }
 

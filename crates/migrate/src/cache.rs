@@ -20,9 +20,11 @@
 //! every full-chain outcome, per-stage issues included, so warm starts
 //! survive process restarts. The disk tier is also how a killed batch
 //! resumes: re-run it over the same directory and every finished design
-//! is restored without running a stage (see [`crate::batch`]). Disk
-//! entries are untrusted input: a malformed, truncated or hostile entry
-//! is a cache miss, never a panic.
+//! is restored without running a stage (see [`crate::batch`]). Each
+//! entry is written to a temporary file and renamed into place, so a
+//! kill mid-write never leaves a torn entry. Disk entries are still
+//! untrusted input: a malformed, truncated or hostile entry is a cache
+//! miss, never a panic.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -442,8 +444,23 @@ impl MigrationCache {
         }
         out.push_str(&format!("design bytes={}\n", text.len()));
         out.push_str(&text);
-        if fs::write(Self::disk_path(dir, design, chain), out).is_ok() {
+        // Write under a unique temporary name, then rename into place:
+        // a kill mid-write leaves a stray temporary file, never a torn
+        // entry. The name starts with the design key, so
+        // `purge_design` removes strays too. There is no fsync: the tier
+        // is best-effort, and an entry a power cut empties is a miss.
+        static SEQ: AtomicU64 = AtomicU64::new(0);
+        let seq = SEQ.fetch_add(1, Ordering::Relaxed);
+        let tmp = dir.join(format!(
+            "{design:016x}-{chain:016x}.{}-{seq}.tmp",
+            std::process::id()
+        ));
+        let stored = fs::write(&tmp, out)
+            .and_then(|()| fs::rename(&tmp, Self::disk_path(dir, design, chain)));
+        if stored.is_ok() {
             self.disk_stores.fetch_add(1, Ordering::Relaxed);
+        } else {
+            let _ = fs::remove_file(&tmp);
         }
     }
 
@@ -701,6 +718,24 @@ mod tests {
         let path = MigrationCache::disk_path(&dir, key, chain.full_hash());
         let good = fs::read_to_string(&path).expect("entry written");
         (dir, path, good, key, chain)
+    }
+
+    #[test]
+    fn stray_temporary_files_are_neither_loaded_nor_kept_by_purge() {
+        let (dir, path, good, key, chain) = intact_disk_entry("stray");
+        let files = fs::read_dir(&dir).expect("tier exists").count();
+        assert_eq!(files, 1, "a finished store leaves no temporary file");
+        // What a kill between write and rename leaves behind: the whole
+        // entry under a temporary name, and no entry in place.
+        let stray = dir.join(format!("{key:016x}-{:016x}.1-0.tmp", chain.full_hash()));
+        fs::write(&stray, &good).expect("write stray");
+        fs::remove_file(&path).expect("remove entry");
+        let cache = MigrationCache::new().with_disk_tier(&dir);
+        assert!(matches!(cache.lookup(key, &chain), Lookup::Miss));
+        assert_eq!(cache.stats().disk_hits, 0);
+        cache.purge_design(key);
+        assert!(!stray.exists(), "purge removes the design's stray files");
+        let _ = fs::remove_dir_all(&dir);
     }
 
     /// Overwrites the entry at `path` with each of `bad` in turn and

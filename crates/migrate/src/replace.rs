@@ -214,7 +214,7 @@ pub fn replace_components(
             for plan in &plans {
                 let entry = &entries[plan.entry_idx];
                 let inst = &mut sheet.instances[plan.inst_idx];
-                inst.symbol = entry.to.clone();
+                inst.symbol = entry.to;
                 inst.place = plan.new_place;
                 out.replaced += 1;
                 for (from, to) in &plan.moves {

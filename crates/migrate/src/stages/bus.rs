@@ -56,7 +56,7 @@ pub fn translation_table(
                     if *text != out {
                         renames += 1;
                     }
-                    map.insert(text.clone(), out.into());
+                    map.insert(*text, out.into());
                 }
             }
             Err(e) => issues.push(format!("`{text}`: {e}")),
@@ -91,7 +91,7 @@ pub fn translation_table(
         };
         taken.insert(out.clone());
         renames += 1;
-        map.insert(text.clone(), out.into());
+        map.insert(*text, out.into());
     }
 
     (map, renames, issues)
@@ -106,11 +106,11 @@ pub fn run(design: &mut Design, src: BusSyntax, dst: BusSyntax, stats: &mut Stag
         for sheet in &cell.sheets {
             for w in &sheet.wires {
                 if let Some(l) = &w.label {
-                    names.insert(l.text.clone());
+                    names.insert(l.text);
                 }
             }
             for c in &sheet.connectors {
-                names.insert(c.name.clone());
+                names.insert(c.name);
             }
         }
         let (map, renames, issues) = translation_table(&names, &cell.buses, src, dst);
@@ -122,7 +122,7 @@ pub fn run(design: &mut Design, src: BusSyntax, dst: BusSyntax, stats: &mut Stag
                 if let Some(l) = &mut w.label {
                     if let Some(new) = map.get(&l.text) {
                         if *new != l.text {
-                            l.text = new.clone();
+                            l.text = *new;
                         }
                         stats.touched += 1;
                     }
@@ -131,7 +131,7 @@ pub fn run(design: &mut Design, src: BusSyntax, dst: BusSyntax, stats: &mut Stag
             for c in &mut sheet.connectors {
                 if let Some(new) = map.get(&c.name) {
                     if *new != c.name {
-                        c.name = new.clone();
+                        c.name = *new;
                     }
                     stats.touched += 1;
                 }

@@ -55,7 +55,7 @@ pub fn run(design: &mut Design, config: &MigrationConfig, stats: &mut StageStats
                 .connectors
                 .iter()
                 .filter(|c| c.kind == ConnectorKind::Global)
-                .map(|c| c.name.clone())
+                .map(|c| c.name)
                 .collect();
             let mut to_add: Vec<(IStr, Point)> = Vec::new();
             for w in &sheet.wires {
@@ -64,7 +64,7 @@ pub fn run(design: &mut Design, config: &MigrationConfig, stats: &mut StageStats
                         && !existing.contains(&l.text)
                         && !to_add.iter().any(|(n, _)| n == &l.text)
                     {
-                        to_add.push((l.text.clone(), w.points[0]));
+                        to_add.push((l.text, w.points[0]));
                     }
                 }
             }

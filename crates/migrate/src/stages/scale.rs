@@ -25,10 +25,10 @@ pub fn run(
     stats: &mut StageStats,
 ) {
     // Libraries: rebuild each symbol scaled.
-    let lib_names: Vec<interop_core::IStr> = design.libraries().map(|l| l.name.clone()).collect();
+    let lib_names: Vec<interop_core::IStr> = design.libraries().map(|l| l.name).collect();
     for name in lib_names {
         let lib = design.library(&name).expect("library exists");
-        let mut scaled = Library::new(lib.name.clone());
+        let mut scaled = Library::new(lib.name);
         for sym in lib.iter() {
             scaled.add(sym.scaled(num, den, target_grid));
             stats.touched += 1;

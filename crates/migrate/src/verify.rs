@@ -71,9 +71,9 @@ pub fn normalize_source(netlist: &Netlist, config: &MigrationConfig) -> Netlist 
         for (inst, cellref) in &cn.instances {
             let new_ref = by_cell
                 .get(cellref.as_str())
-                .map(|e| e.to.cell.clone())
-                .unwrap_or_else(|| cellref.clone());
-            new_cn.instances.insert(inst.clone(), new_ref);
+                .map(|e| e.to.cell)
+                .unwrap_or_else(|| *cellref);
+            new_cn.instances.insert(*inst, new_ref);
         }
         // Pin renaming per instance.
         for (net, info) in &cn.nets {
@@ -88,7 +88,7 @@ pub fn normalize_source(netlist: &Netlist, config: &MigrationConfig) -> Netlist 
                     .and_then(|c| by_cell.get(c.as_str()))
                     .map(|e| e.map_pin(&pin.pin).to_string())
                     .unwrap_or_else(|| pin.pin.to_string());
-                new_info.pins.insert(PinRef::new(pin.inst.clone(), new_pin));
+                new_info.pins.insert(PinRef::new(pin.inst, new_pin));
             }
             new_cn.nets.insert(net.clone(), new_info);
         }

@@ -158,12 +158,8 @@ fn fixtures() -> Vec<Design> {
     let mut cell = CellSchematic::new("top");
     cell.buses.insert("D".into());
     let mut s = Sheet::new(1);
-    s.instances.push(Instance::new(
-        "I1",
-        inv_ref.clone(),
-        Point::new(0, 0),
-        Orient::R0,
-    ));
+    s.instances
+        .push(Instance::new("I1", inv_ref, Point::new(0, 0), Orient::R0));
     s.wires.push(
         Wire::new(vec![Point::new(0, -16), Point::new(0, 16)])
             .with_label(viewstar_label("D<0:3>", Point::new(4, 0))),
@@ -175,12 +171,8 @@ fn fixtures() -> Vec<Design> {
     let mut unparsed = fixture_design("unparsed", DialectId::Viewstar);
     let mut cell = CellSchematic::new("top");
     let mut s = Sheet::new(1);
-    s.instances.push(Instance::new(
-        "I1",
-        inv_ref.clone(),
-        Point::new(0, 0),
-        Orient::R0,
-    ));
+    s.instances
+        .push(Instance::new("I1", inv_ref, Point::new(0, 0), Orient::R0));
     s.wires.push(
         Wire::new(vec![Point::new(64, 0), Point::new(128, 0)])
             .with_label(viewstar_label("D<0:", Point::new(70, 4))),

@@ -31,11 +31,14 @@ impl NetExpr {
         }
     }
 
-    /// Number of individual bits this expression denotes.
+    /// Number of individual bits this expression denotes, saturating at
+    /// `usize::MAX` for a range built directly with extreme endpoints.
     pub fn bit_count(&self) -> usize {
         match self {
             NetExpr::Scalar(_) | NetExpr::Bit(_, _) => 1,
-            NetExpr::Range(_, a, b) => ((a - b).unsigned_abs() + 1) as usize,
+            NetExpr::Range(_, a, b) => {
+                usize::try_from(a.abs_diff(*b).saturating_add(1)).unwrap_or(usize::MAX)
+            }
         }
     }
 
@@ -51,8 +54,12 @@ impl NetExpr {
         match self {
             NetExpr::Scalar(_) | NetExpr::Bit(_, _) => vec![self.clone()],
             NetExpr::Range(b, from, to) => {
-                let mut out = Vec::with_capacity(self.bit_count());
-                out.extend(bit_indices(*from, *to).map(|i| NetExpr::Bit(b.clone(), i)));
+                // Grown, not sized from the range (as `collect` would):
+                // the endpoints may come from input.
+                let mut out = Vec::new();
+                for i in bit_indices(*from, *to) {
+                    out.push(NetExpr::Bit(b.clone(), i));
+                }
                 out
             }
         }
@@ -71,6 +78,11 @@ pub(crate) fn bit_indices(from: i64, to: i64) -> impl Iterator<Item = i64> {
         }
     })
 }
+
+/// The widest bus range [`BusSyntax::parse`] accepts, in bits. Without
+/// it a label such as `A<0:99999999999>` makes extraction expand 10^11
+/// bits one at a time; real buses are far narrower.
+pub const MAX_BUS_BITS: u64 = 65_536;
 
 /// A parsed net name: the structured expression plus an optional Viewstar
 /// postfix indicator character.
@@ -170,9 +182,9 @@ impl BusSyntax {
     ///
     /// # Errors
     ///
-    /// Returns [`ParseNetError`] for empty names, malformed ranges,
-    /// identifiers containing reserved punctuation, or (Cascade only)
-    /// postfix indicators.
+    /// Returns [`ParseNetError`] for empty names, malformed ranges or
+    /// ranges wider than [`MAX_BUS_BITS`], identifiers containing
+    /// reserved punctuation, or (Cascade only) postfix indicators.
     pub fn parse(self, text: &str, known_buses: &BTreeSet<IStr>) -> Result<NetName, ParseNetError> {
         let text = text.trim();
         if text.is_empty() {
@@ -209,6 +221,9 @@ impl BusSyntax {
                     .trim()
                     .parse::<i64>()
                     .map_err(|_| ParseNetError::BadIndex(body.to_string()))?;
+                if from.abs_diff(to) >= MAX_BUS_BITS {
+                    return Err(ParseNetError::BadIndex(body.to_string()));
+                }
                 NetExpr::Range(base.to_string(), from, to)
             } else {
                 let idx = stripped
@@ -374,6 +389,40 @@ mod tests {
         assert!(BusSyntax::Cascade.parse("A<x>", &empty).is_err());
         assert!(BusSyntax::Cascade.parse("9net", &empty).is_err());
         assert!(BusSyntax::Viewstar.parse("-", &empty).is_err());
+    }
+
+    #[test]
+    fn ranges_wider_than_the_bound_are_rejected() {
+        let empty = BTreeSet::new();
+        let widest = format!("A<0:{}>", MAX_BUS_BITS - 1);
+        let r = BusSyntax::Viewstar.parse(&widest, &empty).unwrap();
+        assert_eq!(r.expr.bit_count() as u64, MAX_BUS_BITS);
+        for text in [
+            format!("A<0:{MAX_BUS_BITS}>"),
+            format!("A<{MAX_BUS_BITS}:0>"),
+            "A<0:99999999999>".to_string(),
+            format!("A<{}:{}>", i64::MIN, i64::MAX),
+        ] {
+            for syn in [BusSyntax::Viewstar, BusSyntax::Cascade] {
+                assert!(
+                    matches!(syn.parse(&text, &empty), Err(ParseNetError::BadIndex(_))),
+                    "{text}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn bit_count_saturates_instead_of_overflowing() {
+        assert_eq!(
+            NetExpr::Range("A".into(), i64::MAX, -1).bit_count(),
+            (1 << 63) + 1
+        );
+        assert_eq!(
+            NetExpr::Range("A".into(), i64::MIN, i64::MAX).bit_count(),
+            usize::MAX
+        );
+        assert_eq!(NetExpr::Range("A".into(), -1, 1).bit_count(), 3);
     }
 
     #[test]

@@ -567,7 +567,7 @@ fn parse_inner(text: &str) -> Result<Design, ParseError> {
 fn library(form: Sx<'_, '_>) -> Result<Library, ParseError> {
     let mut lib = Library::new(&*form.str_at(1)?);
     for s in form.find_all("symbol") {
-        let reference = SymbolRef::new(lib.name.clone(), &*s.str_at(1)?, &*s.str_at(2)?);
+        let reference = SymbolRef::new(lib.name, &*s.str_at(1)?, &*s.str_at(2)?);
         let grid = s.expect("grid")?.int_at(1)?;
         let mut sym = SymbolDef::new(reference, grid);
         for p in s.find_all("pin") {

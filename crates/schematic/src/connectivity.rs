@@ -322,7 +322,7 @@ pub fn extract_cell(design: &Design, cell: &CellSchematic, rules: &DialectRules)
                 let at = inst.place.apply(pin.at);
                 pin_sites.push(PinSite {
                     reg: registrations.len(),
-                    pin: PinRef::new(inst.name.clone(), pin.name.clone()),
+                    pin: PinRef::new(inst.name, pin.name),
                     raw_name: &pin.name,
                 });
                 registrations.push((page, at.x, at.y));
@@ -499,7 +499,7 @@ pub fn extract_cell(design: &Design, cell: &CellSchematic, rules: &DialectRules)
                             if *b2 == b && (*f.min(t)..=*f.max(t)).contains(&i) {
                                 if let Some(atom) = bits.get_mut(&expanded(b.clone(), Some(i), *pf))
                                 {
-                                    atom.pins.insert(pin.clone());
+                                    atom.pins.insert(*pin);
                                     attached = true;
                                 }
                             }
@@ -644,8 +644,7 @@ pub fn extract_design(
         let mut cn = CellNetlist::default();
         for sheet in &cell.sheets {
             for inst in &sheet.instances {
-                cn.instances
-                    .insert(inst.name.clone(), inst.symbol.cell.clone());
+                cn.instances.insert(inst.name, inst.symbol.cell);
             }
         }
         // Nets arrive sorted by name; as with `insert`, the last of
@@ -707,18 +706,10 @@ mod tests {
         let mut cell = CellSchematic::new("top");
         let mut s = Sheet::new(1);
         let sym = SymbolRef::new("basiclib", "inv", "symbol");
-        s.instances.push(Instance::new(
-            "I1",
-            sym.clone(),
-            Point::new(0, 0),
-            Orient::R0,
-        ));
-        s.instances.push(Instance::new(
-            "I2",
-            sym.clone(),
-            Point::new(160, 0),
-            Orient::R0,
-        ));
+        s.instances
+            .push(Instance::new("I1", sym, Point::new(0, 0), Orient::R0));
+        s.instances
+            .push(Instance::new("I2", sym, Point::new(160, 0), Orient::R0));
         // I1.Y at (64,0) to I2.A at (160,0).
         s.wires.push(
             Wire::new(vec![Point::new(64, 0), Point::new(160, 0)])
@@ -743,12 +734,8 @@ mod tests {
         let mut cell = CellSchematic::new("top");
         let mut s = Sheet::new(1);
         let sym = SymbolRef::new("basiclib", "inv", "symbol");
-        s.instances.push(Instance::new(
-            "I1",
-            sym.clone(),
-            Point::new(0, 0),
-            Orient::R0,
-        ));
+        s.instances
+            .push(Instance::new("I1", sym, Point::new(0, 0), Orient::R0));
         // Horizontal wire through I1.Y; a vertical wire T-ing into its middle.
         s.wires
             .push(Wire::new(vec![Point::new(64, 0), Point::new(192, 0)]));
@@ -776,23 +763,15 @@ mod tests {
             let mut cell = CellSchematic::new("top");
             let sym = SymbolRef::new("basiclib", "inv", "symbol");
             let mut s1 = Sheet::new(1);
-            s1.instances.push(Instance::new(
-                "I1",
-                sym.clone(),
-                Point::new(0, 0),
-                Orient::R0,
-            ));
+            s1.instances
+                .push(Instance::new("I1", sym, Point::new(0, 0), Orient::R0));
             s1.wires.push(
                 Wire::new(vec![Point::new(64, 0), Point::new(160, 0)])
                     .with_label(label("sig", Point::new(96, 4))),
             );
             let mut s2 = Sheet::new(2);
-            s2.instances.push(Instance::new(
-                "I2",
-                sym.clone(),
-                Point::new(320, 0),
-                Orient::R0,
-            ));
+            s2.instances
+                .push(Instance::new("I2", sym, Point::new(320, 0), Orient::R0));
             s2.wires.push(
                 Wire::new(vec![Point::new(240, 0), Point::new(320, 0)])
                     .with_label(label("sig", Point::new(260, 4))),
@@ -822,12 +801,8 @@ mod tests {
         let mut cell = CellSchematic::new("top");
         let sym = SymbolRef::new("basiclib", "inv", "symbol");
         let mut s1 = Sheet::new(1);
-        s1.instances.push(Instance::new(
-            "I1",
-            sym.clone(),
-            Point::new(0, 0),
-            Orient::R0,
-        ));
+        s1.instances
+            .push(Instance::new("I1", sym, Point::new(0, 0), Orient::R0));
         s1.wires.push(
             Wire::new(vec![Point::new(64, 0), Point::new(160, 0)]).with_label(Label::new(
                 "sig",
@@ -841,12 +816,8 @@ mod tests {
             Point::new(160, 0),
         ));
         let mut s2 = Sheet::new(2);
-        s2.instances.push(Instance::new(
-            "I2",
-            sym.clone(),
-            Point::new(320, 0),
-            Orient::R0,
-        ));
+        s2.instances
+            .push(Instance::new("I2", sym, Point::new(320, 0), Orient::R0));
         s2.wires.push(
             Wire::new(vec![Point::new(240, 0), Point::new(320, 0)]).with_label(Label::new(
                 "sig",

@@ -81,8 +81,8 @@ impl Library {
     /// the `(cell, view)` key; its library field is rewritten to match
     /// this library.
     pub fn add(&mut self, mut sym: SymbolDef) {
-        sym.reference.library = self.name.clone();
-        let key = SymbolKey(sym.reference.cell.clone(), sym.reference.view.clone());
+        sym.reference.library = self.name;
+        let key = SymbolKey(sym.reference.cell, sym.reference.view);
         self.symbols.insert(key, sym);
     }
 
@@ -181,7 +181,7 @@ impl Design {
 
     /// Adds (or replaces) a library.
     pub fn add_library(&mut self, lib: Library) {
-        self.libraries.insert(lib.name.clone(), lib);
+        self.libraries.insert(lib.name, lib);
     }
 
     /// Adds (or replaces) a cell schematic. The first cell added becomes

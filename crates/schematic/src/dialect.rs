@@ -264,7 +264,7 @@ pub fn check_conformance(design: &Design, rules: &DialectRules) -> Vec<Violation
                     match rules.bus.parse(&label.text, &cell.buses) {
                         Ok(_) => {
                             names_on_page
-                                .entry(label.text.clone())
+                                .entry(label.text)
                                 .or_default()
                                 .insert(sheet.page);
                         }
@@ -287,10 +287,10 @@ pub fn check_conformance(design: &Design, rules: &DialectRules) -> Vec<Violation
             for conn in &sheet.connectors {
                 match conn.kind {
                     ConnectorKind::OffPage => {
-                        offpage_names.insert(conn.name.clone());
+                        offpage_names.insert(conn.name);
                     }
                     k if k.is_hierarchy() => {
-                        hier_names.insert(conn.name.clone());
+                        hier_names.insert(conn.name);
                     }
                     _ => {}
                 }

@@ -51,3 +51,12 @@ pub use dialect::{DialectId, DialectRules};
 pub use geom::{Orient, Point, Transform};
 pub use netlist::{compare, CompareReport, Netlist, PinRef};
 pub use parse::{ParseError, SourcePos};
+
+// Names are `Copy` handles to process-lifetime strings: copying a
+// design's names between threads touches no shared reference count.
+const _: () = {
+    const fn copy_handle<T: Copy + Send + Sync + 'static>() {}
+    copy_handle::<interop_core::IStr>();
+    copy_handle::<PinRef>();
+    copy_handle::<symbol::SymbolRef>();
+};

@@ -11,8 +11,9 @@ use std::fmt;
 use interop_core::intern::IStr;
 
 /// A reference to one pin of one instance. Both parts are interned —
-/// a netlist names each instance and pin many times over.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+/// a netlist names each instance and pin many times over — so the
+/// reference is a `Copy` pair of string handles.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PinRef {
     /// Instance name.
     pub inst: IStr,

@@ -307,7 +307,7 @@ pub fn import(text: &str, target: DialectId) -> Result<Design, ParseNeutralError
                     .as_ref()
                     .ok_or_else(|| err(line, "SYMBOL outside LIBRARY".into()))?;
                 cur_sym = Some(SymbolDef::new(
-                    SymbolRef::new(lib.name.clone(), toks[1].as_str(), toks[2].as_str()),
+                    SymbolRef::new(lib.name, toks[1].as_str(), toks[2].as_str()),
                     int(line, &toks[4])?,
                 ));
             }

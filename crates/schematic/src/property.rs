@@ -166,7 +166,7 @@ impl PropMap {
 
     /// Property names in order.
     pub fn names(&self) -> impl Iterator<Item = &str> {
-        self.entries.keys().map(IStr::as_str)
+        self.entries.keys().map(|k| &**k)
     }
 }
 

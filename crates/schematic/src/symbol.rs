@@ -8,8 +8,9 @@ use crate::property::PropMap;
 /// Fully-qualified reference to a symbol: library, cell, and view — the
 /// triple the paper's symbol-replacement maps rewrite. The parts are
 /// interned: the same `basiclib/nand2/symbol` triple referenced by ten
-/// thousand instances shares three allocations, not thirty thousand.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+/// thousand instances shares three strings, not thirty thousand, and
+/// the reference itself is `Copy` — three string handles, no reference count.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SymbolRef {
     /// Library name, e.g. `basiclib`.
     pub library: IStr,
@@ -170,11 +171,11 @@ impl SymbolDef {
     /// set to `new_grid` — the Section 2 "Scaling" operation.
     pub fn scaled(&self, num: i64, den: i64, new_grid: i64) -> SymbolDef {
         SymbolDef {
-            reference: self.reference.clone(),
+            reference: self.reference,
             pins: self
                 .pins
                 .iter()
-                .map(|p| SymbolPin::new(p.name.clone(), p.at.scaled(num, den), p.dir))
+                .map(|p| SymbolPin::new(p.name, p.at.scaled(num, den), p.dir))
                 .collect(),
             body: self
                 .body

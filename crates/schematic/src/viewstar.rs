@@ -400,7 +400,7 @@ fn parse_inner(text: &str) -> Result<Design, ParseError> {
                 }
                 let grid = c.int()?;
                 cur_sym = Some(SymbolDef::new(
-                    SymbolRef::new(lib.name.clone(), &*cell, &*view),
+                    SymbolRef::new(lib.name, &*cell, &*view),
                     grid,
                 ));
             }

@@ -10,10 +10,12 @@
 mod mutants;
 
 use std::sync::OnceLock;
+use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
+use schematic::connectivity::{extract_design, ConnError};
 use schematic::gen::{generate, GenConfig};
-use schematic::{cascade, neutral, viewstar, DialectId, ParseError};
+use schematic::{cascade, neutral, viewstar, DialectId, DialectRules, ParseError};
 
 /// Viewstar, Cascade and neutral text of a few generated designs.
 struct Corpus {
@@ -174,4 +176,24 @@ fn neutral_wire_with_a_negative_point_count() {
     let text = "NEUTRAL 1\nCELL c\nPAGE 1\nWIRE -1 0 0 1 1\n";
     let err = neutral::import(text, DialectId::Cascade).expect_err("rejected");
     assert_eq!(err.line, 4, "{err}");
+}
+
+#[test]
+fn viewstar_wire_label_with_a_bus_range_too_wide_to_expand() {
+    let text = "CELL c\nPAGE 1\nW 2 0 0 16 0 LABEL \"A<0:99999999999>\" 0 0\nENDPAGE\nENDCELL\n";
+    let design = viewstar::parse(text).expect("the text is well formed");
+    let started = Instant::now();
+    let (_, errors) = extract_design(&design, &DialectRules::viewstar());
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "extraction took {elapsed:?}"
+    );
+    assert!(
+        matches!(
+            errors.as_slice(),
+            [(_, ConnError::UnparsedLabel { text, .. })] if text == "A<0:99999999999>"
+        ),
+        "{errors:?}"
+    );
 }
